@@ -34,8 +34,26 @@ def _parse_ring_flag(text: str) -> Ring:
     if text == "poly":
         return POLY
     if text.startswith("nilpotent:"):
-        return nilpotent_ring(int(text.split(":", 1)[1]))
+        try:
+            return nilpotent_ring(int(text[len("nilpotent:"):]))
+        except ValueError:
+            raise ParseError(
+                f"nilpotency order must be an integer >= 2 in {text!r}", len("nilpotent:")
+            ) from None
     raise ParseError(f"unknown ring {text!r}", 0)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--prec", type=int, default=DEFAULT_PREC)
+        p.add_argument("--prec", type=_int_at_least(1), default=DEFAULT_PREC)
         p.add_argument("--ring", type=str, default=None)
         p.add_argument("--json", action="store_true")
 
@@ -79,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("covers")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--symmetric", type=int, required=True)
+    p.add_argument("--genus", type=_int_at_least(1), required=True)
+    p.add_argument("--symmetric", type=_int_at_least(0), required=True)
     common(p)
 
     p = sub.add_parser("selftest")

@@ -117,6 +117,8 @@ def count_homs(genus: int, n: int) -> tuple[int, int]:
     Every tuple of 2g permutations is a homomorphism of the free group;
     the surface count keeps those killing the product of commutators.
     """
+    if genus < 1:
+        raise ValueError("genus must be positive")
     free_count = factorial(n) ** (2 * genus)
     if free_count > ENUMERATION_LIMIT:
         raise TooLarge(f"{free_count} assignments exceed the enumeration bound")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NotInvertible
 from .ring import Coeff, Ring
-from .series import DEFAULT_PREC, LaurentSeries, _min_prec
+from .series import LaurentSeries, _min_prec, resolve_prec
 
 _MAX_PEEL_ROUNDS = 200
 
@@ -94,10 +94,12 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
 
     ``prec`` bounds the number of positive-part degrees computed when
     ``alpha`` is exact but does not factor finitely (default
-    ``DEFAULT_PREC``).  Raises ``NotInvertible`` when the reduction mod the
-    nilradical has a non-unit leading coefficient, and propagates
-    ``InsufficientPrecision``/``ZeroSeries`` from the valuation.
+    ``DEFAULT_PREC``; it must be at least 1).  Raises ``NotInvertible``
+    when the reduction mod the nilradical has a non-unit leading
+    coefficient, and propagates ``InsufficientPrecision``/``ZeroSeries``
+    from the valuation.
     """
+    window = resolve_prec(prec)
     ring = alpha.ring
     v = alpha.valuation()
     lead = alpha.coeff(v)
@@ -133,7 +135,6 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
     p = r.scale(unit.invert())
 
     # positive part: read off degrees in increasing order
-    window = prec or DEFAULT_PREC
     pos: dict[int, Coeff] = {}
     exact = False
     j = 1

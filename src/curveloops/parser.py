@@ -332,7 +332,16 @@ def parse_place(text: str):
 
 
 def parse_fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    """Comma-separated rationals, such as ``0, 1, -3/2``."""
+    out = []
+    pos = 0
+    for part in text.split(","):
+        try:
+            out.append(Fraction(part.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"not a rational number: {part.strip()!r}", pos) from None
+        pos += len(part) + 1
+    return tuple(out)
 
 
 # -- formatting ---------------------------------------------------------------

@@ -10,13 +10,29 @@ Everything is exact: rationals are ``fractions.Fraction`` (arbitrary
 precision), nilpotent elements are fixed-length coefficient vectors
 truncated at eps^k, polynomials are canonical coefficient tuples.  Values
 are immutable; mixing rings raises ``RingMismatch``.
+
+Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (see
+``LaurentSeries.__mul__``), go through one kernel, ``packed_mul``, by
+Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  An operand is
+a 2-D array: rows indexed by i (the z-exponent of a series, or 0 for a
+single coefficient), each row the payload of one coefficient, so the entry
+(i, j) is the coefficient of z^i y^j, with y standing for 1 (Q), eps or t.
+Each operand is scaled to integers over one common denominator.  Entry
+(i, j) goes to slot i*S + j of one Python int, where S = ra + rb - 1 is
+the row length of the product (no row spills into the next) and every
+slot has the same byte width, wide enough for a signed sum of the
+largest possible products.  One big-int multiply then yields every product
+coefficient in its slot.  Slots are read back as signed integers, each
+negative slot having borrowed one from the slot above; entries with
+j >= k (for eps^k) and rows past the requested count are dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import NotAUnit, RingMismatch
 
@@ -71,14 +87,77 @@ def poly_add(a, b):
     )
 
 
+_ZERO = Fraction(0)
+
+
+def _integer_rows(rows):
+    """(common denominator, rows scaled to ints, largest entry bit length)."""
+    # a list, not a generator: star-unpacking a generator builds a guessed
+    # size-10 tuple and resizes it, which strands tuples on the free lists
+    den = lcm(*[q.denominator for _, row in rows for q in row])
+    ints = [(i, [q.numerator * (den // q.denominator) for q in row]) for i, row in rows]
+    bits = max([abs(v) for _, row in ints for v in row]).bit_length()
+    return den, ints, bits
+
+
+def _pack(rows, stride: int, width: int) -> int:
+    """The int whose ``width``-byte slot i*stride + j holds rows[i][j]."""
+    size = (rows[-1][0] + 1) * stride * width
+    pos, neg = bytearray(size), bytearray(size)
+    for i, row in rows:
+        at = i * stride * width
+        for v in row:
+            if v > 0:
+                pos[at:at + width] = v.to_bytes(width, "little")
+            elif v < 0:
+                neg[at:at + width] = (-v).to_bytes(width, "little")
+            at += width
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def packed_mul(
+    a: Sequence[tuple[int, Sequence[Fraction]]],
+    b: Sequence[tuple[int, Sequence[Fraction]]],
+    count: int,
+    cut: int | None = None,
+) -> list[list[Fraction]]:
+    """Product of two 2-D arrays of rationals by one integer multiply.
+
+    ``a`` and ``b`` list (i, row) pairs, i >= 0 ascending, each row a
+    non-empty sequence of rationals: row[j] is the coefficient of z^i y^j.
+    Returns rows 0 .. count-1 of the product, each holding the
+    coefficients of y^j for j < ``cut`` (all of them when ``cut`` is None).
+    See the module docstring for the layout.
+    """
+    ra = max([len(row) for _, row in a])
+    rb = max([len(row) for _, row in b])
+    stride = ra + rb - 1
+    keep = stride if cut is None else min(cut, stride)
+    da, ia, bits_a = _integer_rows(a)
+    db, ib, bits_b = _integer_rows(b)
+    # a product entry sums at most this many nonzero products
+    terms = min(len(a), len(b)) * min(ra, rb)
+    width = (bits_a + bits_b + terms.bit_length() + 8) // 8  # + a sign bit
+    slots = count * stride
+    product = _pack(ia, stride, width) * _pack(ib, stride, width)
+    raw = (product & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+    den = da * db
+    values = []
+    borrow = 0
+    for at in range(0, width * slots, width):
+        s = int.from_bytes(raw[at:at + width], "little", signed=True)
+        values.append(s + borrow)
+        borrow = s < 0
+    return [
+        [Fraction(v, den) if v else _ZERO for v in values[at:at + keep]]
+        for at in range(0, slots, stride)
+    ]
+
+
 def poly_mul(a, b):
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
+    return _poly_trim(packed_mul([(0, a)], [(0, b)], 1)[0])
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
@@ -148,6 +227,13 @@ class Coeff:
         vec = (vec + [Fraction(0)] * k)[:k]
         return Coeff(ring, tuple(vec))
 
+    @staticmethod
+    def from_row(ring: Ring, row: Sequence[Fraction]) -> "Coeff":
+        """The coefficient with payload ``row``, as ``packed_mul`` returns it."""
+        if ring.kind == POLY_KIND:
+            return Coeff(ring, _poly_trim(row))
+        return Coeff(ring, tuple(row))
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -188,16 +274,8 @@ class Coeff:
             return Coeff(self.ring, (self.data[0] * other.data[0],))
         if kind == POLY_KIND:
             return Coeff(self.ring, poly_mul(self.data, other.data))
-        k = self.ring.order
-        out = [Fraction(0)] * k
-        for i, a in enumerate(self.data):
-            if a == 0:
-                continue
-            for j in range(k - i):
-                b = other.data[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return Coeff(self.ring, tuple(out))
+        (row,) = packed_mul([(0, self.data)], [(0, other.data)], 1, self.ring.order)
+        return Coeff(self.ring, tuple(row))
 
     def scale(self, q: Scalar) -> "Coeff":
         q = Fraction(q)

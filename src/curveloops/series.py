@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Mapping, Union
 
 from .errors import (
@@ -26,13 +26,23 @@ from .errors import (
     SubstituteDiverges,
     ZeroSeries,
 )
-from .ring import Coeff, Ring, Scalar
+from .ring import Coeff, Ring, Scalar, packed_mul
 
 #: Default number of terms kept past the lowest exponent when an exact
 #: input forces an infinite expansion (inverses, square roots, ...).
 DEFAULT_PREC = 24
 
 CoeffLike = Union[Coeff, int, Fraction]
+
+
+def resolve_prec(prec: int | None) -> int:
+    """Number of terms an exact input is expanded to: ``prec``, by default
+    ``DEFAULT_PREC``.  Raises ``ValueError`` when ``prec`` is below 1."""
+    if prec is None:
+        return DEFAULT_PREC
+    if prec < 1:
+        raise ValueError(f"prec must be at least 1, got {prec}")
+    return prec
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -152,18 +162,29 @@ class LaurentSeries:
             if om is None:
                 om = b.prec if b.prec is not None else 0
             prec = _min_prec(prec, a.prec + om)
-        out: dict[int, Coeff] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                p = c1 * c2
-                if e in out:
-                    out[e] = out[e] + p
-                else:
-                    out[e] = p
-        return LaurentSeries.build(self.ring, out, prec)
+        if not self.terms or not other.terms:
+            return LaurentSeries(self.ring, (), prec)
+        # Exponents of both operands lie on base + step*N; the packed
+        # product runs over that lattice.
+        ea, eb = self.terms[0][0], other.terms[0][0]
+        step = gcd(*(e - ea for e, _ in self.terms), *(e - eb for e, _ in other.terms)) or 1
+        count = (self.terms[-1][0] - ea + other.terms[-1][0] - eb) // step + 1
+        if prec is not None:
+            count = min(count, -((ea + eb - prec) // step))
+        if count <= 0:
+            return LaurentSeries(self.ring, (), prec)
+        rows = packed_mul(
+            [((e - ea) // step, c.data) for e, c in self.terms],
+            [((e - eb) // step, c.data) for e, c in other.terms],
+            count,
+            self.ring.order,
+        )
+        terms = [
+            (ea + eb + m * step, Coeff.from_row(self.ring, row))
+            for m, row in enumerate(rows)
+            if any(row)
+        ]
+        return LaurentSeries(self.ring, tuple(terms), prec)
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
         if not isinstance(c, Coeff):
@@ -225,8 +246,9 @@ class LaurentSeries:
         below N - 2v, the standard reciprocal window.  ``prec`` sets the
         number of computed terms past the lowest output exponent when the
         input is exact but the inverse is an infinite series (default
-        ``DEFAULT_PREC``).
+        ``DEFAULT_PREC``); it must be at least 1.
         """
+        window = resolve_prec(prec)
         if not self.terms:
             if self.exact:
                 raise NotInvertible("zero series")
@@ -238,7 +260,7 @@ class LaurentSeries:
             )
         if self.exact and len(self.terms) == 1:
             return LaurentSeries.monomial(self.ring, -v, lead.invert())
-        rel = (self.prec - v) if self.prec is not None else (prec or DEFAULT_PREC)
+        rel = (self.prec - v) if self.prec is not None else window
         g = [self.coeff(v + i) for i in range(rel)]
         b0 = lead.invert()
         out = [b0]
@@ -339,8 +361,19 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     times) the square of a rational.  ``branch`` (+1/-1) picks the sign of
     the leading coefficient of the result.  An exact perfect square is
     returned exactly; otherwise the expansion carries ``prec`` relative
-    terms (default ``DEFAULT_PREC``).
+    terms (default ``DEFAULT_PREC``; it must be at least 1).
+
+    Exactness is certified by degree.  Let v be the lowest exponent of f
+    and rel the number of computed terms; the candidate c (the computed
+    terms, read as a Laurent polynomial) satisfies c^2 = f mod z^(v+rel)
+    by construction.  The leading coefficient passed ``as_fraction``, so
+    the ring is Q or Q[t], an integral domain, and deg(c^2) = 2 deg c.
+    Hence 2 deg c != deg f means c^2 != f; 2 deg c = deg f < v + rel means
+    c^2 = f, as both sides then agree in every exponent.  Only when
+    2 deg c = deg f >= v + rel, as for (1 + z^15)^2 at rel 24, is c^2
+    computed and compared with f.
     """
+    window = resolve_prec(prec)
     if not f.terms:
         if f.exact:
             return LaurentSeries.zero(f.ring)
@@ -355,7 +388,7 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     root = _fraction_sqrt(lead_q)
     if root is None or root == 0:
         raise NoRationalSquareRoot(f"{lead_q} is not a nonzero rational square")
-    rel = (f.prec - v) if f.prec is not None else (prec or DEFAULT_PREC)
+    rel = (f.prec - v) if f.prec is not None else window
     # normalize to 1 + w and take the square root by coefficient recursion
     g = [f.coeff(v + i) * lead.invert() for i in range(rel)]
     half = Fraction(1, 2)
@@ -371,8 +404,9 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         {v // 2 + i: c.scale(sign) for i, c in enumerate(out)},
         v // 2 + rel,
     )
-    if f.exact:
-        candidate = LaurentSeries(f.ring, result.terms, None)
-        if candidate * candidate == f:
-            return candidate
+    if not f.exact or 2 * result.terms[-1][0] != f.terms[-1][0]:
+        return result
+    candidate = LaurentSeries(f.ring, result.terms, None)
+    if f.terms[-1][0] < v + rel or candidate * candidate == f:
+        return candidate
     return result

@@ -94,3 +94,28 @@ def test_selftest_smoke():
     lines = text.strip().splitlines()
     assert len(lines) == 9
     assert all(line.startswith("ok ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "1 - z", "--prec", "0"],
+        ["factor", "1 - z", "--prec", "-2"],
+        ["classify", "--curve", "hyp:h=x^3+1", "--x", "z^-2", "--prec", "-3"],
+        ["factor", "z + 1", "--ring", "nilpotent:1"],
+        ["factor", "z + 1", "--ring", "nilpotent:x"],
+        ["covers", "--genus", "0", "--symmetric", "3"],
+        ["family", "--curve", "gm", "--x", "z", "--t", "1/0"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_argv_exits_2(argv):
+    code, text = run(argv)
+    assert code == 2
+    # argparse reports usage errors on stderr; the grammar's own on stdout
+    assert text == "" or text.startswith("parse error:")
+
+
+def test_prec_1_is_accepted():
+    code, text = run(["factor", "1 - z", "--prec", "1"])
+    assert (code, text) == (0, "unit=1 order=0 neg={} pos={} (mod O(z^1))\n")

@@ -82,3 +82,8 @@ def test_witness_nonextendable():
 def test_generator_assignment_arity():
     with pytest.raises(ValueError):
         GeneratorAssignment(2, (Perm.identity(3),) * 3)
+
+
+def test_count_homs_rejects_genus_zero():
+    with pytest.raises(ValueError):
+        count_homs(0, 3)
