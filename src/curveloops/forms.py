@@ -20,11 +20,13 @@ from .curves import (
     MULTIPLICATIVE,
     Curve,
     Loop,
+    check_on_curve,
     point_loop,
     puncture_loop,
 )
 from .errors import (
     FormSingularAlongLoop,
+    LoopSpaceError,
     RingMismatch,
     UnsupportedPointPair,
     VerificationFailed,
@@ -172,9 +174,14 @@ def dlog_x(curve: Curve) -> MeromorphicForm:
 
 
 def pullback(form: MeromorphicForm, loop: Loop) -> LaurentSeries:
-    """The coefficient series of the pulled-back form (num/den)(x,y) x' dz."""
+    """The coefficient series of the pulled-back form (num/den)(x,y) x' dz.
+
+    Raises ``LoopSpaceError`` when the loop does not lie on the curve.
+    """
     if loop.curve != form.curve:
         raise ValueError("loop and form live on different curves")
+    if not check_on_curve(loop):
+        raise LoopSpaceError("loop does not lie on the curve")
     den = form.den.evaluate(loop)
     if den.zero_to_prec():
         raise FormSingularAlongLoop(

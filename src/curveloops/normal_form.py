@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInvertible
+from .errors import InsufficientPrecision, NotInvertible
 from .ring import Coeff, Ring
 from .series import LaurentSeries, _min_prec, resolve_prec
 
@@ -114,6 +114,11 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
     neg: dict[int, Coeff] = {}
     r = beta
     for _ in range(_MAX_PEEL_ROUNDS):
+        if r.prec is not None and r.prec <= 0:
+            raise InsufficientPrecision(
+                "constant term not certified after the negative factors"
+                f" (need O(z^1), have O(z^{r.prec}))"
+            )
         negterms = [(e, c) for e, c in r.terms if e < 0]
         if not negterms:
             break

@@ -161,10 +161,18 @@ def poly_mul(a, b):
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """a(x) for x = p/q, as (sum n_i p^i q^(d-i)) / (den q^d) in integers,
+    where n_i = den a_i over the common denominator den of the a_i."""
+    if not a:
+        return _ZERO
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    den = lcm(*[c.denominator for c in a])
+    acc, qpow = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
-    return acc
+        acc = acc * p + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(acc, den * qpow // q)
 
 
 @dataclass(frozen=True)
@@ -259,10 +267,11 @@ class Coeff:
         self._check(other)
         if self.ring.kind == POLY_KIND:
             return Coeff(self.ring, poly_add(self.data, other.data))
-        return Coeff(self.ring, tuple(a + b for a, b in zip(self.data, other.data)))
+        return Coeff(self.ring, tuple([a + b for a, b in zip(self.data, other.data)]))
 
     def __neg__(self) -> "Coeff":
-        return Coeff(self.ring, tuple(-c for c in self.data))
+        # tuple([...]), not tuple(<generator>): see _integer_rows
+        return Coeff(self.ring, tuple([-c for c in self.data]))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
@@ -281,7 +290,7 @@ class Coeff:
         q = Fraction(q)
         if self.ring.kind == POLY_KIND:
             return Coeff(self.ring, _poly_trim(c * q for c in self.data))
-        return Coeff(self.ring, tuple(c * q for c in self.data))
+        return Coeff(self.ring, tuple([c * q for c in self.data]))
 
     def invert(self) -> "Coeff":
         """Exact multiplicative inverse; raises ``NotAUnit`` if none exists."""

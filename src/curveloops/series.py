@@ -141,7 +141,8 @@ class LaurentSeries:
         return LaurentSeries.build(self.ring, out, _min_prec(self.prec, other.prec))
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.ring, tuple((e, -c) for e, c in self.terms), self.prec)
+        # tuple([...]), not tuple(<generator>): see ring._integer_rows
+        return LaurentSeries(self.ring, tuple([(e, -c) for e, c in self.terms]), self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -187,17 +188,17 @@ class LaurentSeries:
         return LaurentSeries(self.ring, tuple(terms), prec)
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
-        if not isinstance(c, Coeff):
-            c = Coeff.const(self.ring, c)
-        return LaurentSeries.build(
-            self.ring, {e: v * c for e, v in self.terms}, self.prec
-        )
+        if isinstance(c, Coeff):
+            out = {e: v * c for e, v in self.terms}
+        else:
+            out = {e: v.scale(c) for e, v in self.terms}
+        return LaurentSeries.build(self.ring, out, self.prec)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by z^n."""
         return LaurentSeries(
             self.ring,
-            tuple((e + n, c) for e, c in self.terms),
+            tuple([(e + n, c) for e, c in self.terms]),
             None if self.prec is None else self.prec + n,
         )
 
@@ -205,7 +206,7 @@ class LaurentSeries:
         if prec is None:
             return self
         p = _min_prec(self.prec, prec)
-        return LaurentSeries(self.ring, tuple((e, c) for e, c in self.terms if e < p), p)
+        return LaurentSeries(self.ring, tuple([(e, c) for e, c in self.terms if e < p]), p)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
@@ -243,10 +244,14 @@ class LaurentSeries:
         of the coefficient ring (series with nilpotent lower terms must be
         routed through the normal-form factorization instead).  For an
         inexact input with valuation v and precision N the result is known
-        below N - 2v, the standard reciprocal window.  ``prec`` sets the
-        number of computed terms past the lowest output exponent when the
-        input is exact but the inverse is an infinite series (default
-        ``DEFAULT_PREC``); it must be at least 1.
+        below N - 2v, the standard reciprocal window: rel = N - v terms.
+        ``prec`` sets rel when the input is exact but the inverse is an
+        infinite series (default ``DEFAULT_PREC``; it must be at least 1).
+
+        With g = z^-v f cut at z^rel, Newton iteration (Brent & Kung 1978)
+        starts from b = lead^-1 and doubles the number of correct terms
+        each step, b <- b - b (g b - 1) mod z^k with k capped at rel, so
+        the cost is that of a few whole-series products.
         """
         window = resolve_prec(prec)
         if not self.terms:
@@ -261,19 +266,13 @@ class LaurentSeries:
         if self.exact and len(self.terms) == 1:
             return LaurentSeries.monomial(self.ring, -v, lead.invert())
         rel = (self.prec - v) if self.prec is not None else window
-        g = [self.coeff(v + i) for i in range(rel)]
-        b0 = lead.invert()
-        out = [b0]
-        zero = Coeff.zero(self.ring)
-        for n in range(1, rel):
-            acc = zero
-            for i in range(1, n + 1):
-                if not g[i].is_zero():
-                    acc = acc + g[i] * out[n - i]
-            out.append(-(b0 * acc))
-        return LaurentSeries.build(
-            self.ring, {-v + i: c for i, c in enumerate(out)}, -v + rel
-        )
+        g = self.shift(-v).truncate(rel)
+        b = LaurentSeries.constant(self.ring, lead.invert())
+        k = 1
+        while k < rel:
+            k = min(2 * k, rel)
+            b = _inverse_step(b, g, k)
+        return b.shift(-v).truncate(rel - v)
 
     def derivative(self) -> "LaurentSeries":
         out = {e - 1: c.scale(e) for e, c in self.terms if e != 0}
@@ -303,7 +302,7 @@ class LaurentSeries:
             raise ValueError("covering degree must be a positive integer")
         return LaurentSeries(
             self.ring,
-            tuple((e * n, c) for e, c in self.terms),
+            tuple([(e * n, c) for e, c in self.terms]),
             None if self.prec is None else self.prec * n,
         )
 
@@ -345,6 +344,22 @@ class LaurentSeries:
         )
 
 
+def _inverse_step(b: LaurentSeries, g: LaurentSeries, k: int) -> LaurentSeries:
+    """One Newton step for 1/g: b - b (g b - 1) mod z^k, as a polynomial.
+
+    g has valuation 0 and the polynomial b equals 1/g mod z^m; the result
+    equals 1/g mod z^min(2m, k).  b enters the products exact and only g
+    is cut at z^k, so both products are certified exactly below z^k.
+    """
+    e = g.truncate(k) * b - LaurentSeries.one(g.ring)
+    return _as_polynomial(b - b * e)
+
+
+def _as_polynomial(s: LaurentSeries) -> LaurentSeries:
+    """The stored terms of ``s`` read as an exact Laurent polynomial."""
+    return LaurentSeries(s.ring, s.terms, None)
+
+
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
@@ -357,14 +372,21 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentSeries:
     """Series square root of f.
 
-    Needs an even lowest exponent and a leading coefficient that is (a unit
-    times) the square of a rational.  ``branch`` (+1/-1) picks the sign of
-    the leading coefficient of the result.  An exact perfect square is
-    returned exactly; otherwise the expansion carries ``prec`` relative
-    terms (default ``DEFAULT_PREC``; it must be at least 1).
+    Needs an even lowest exponent v and a leading coefficient that is (a
+    unit times) the square of a rational.  ``branch`` (+1/-1) picks the
+    sign of the leading coefficient of the result.  An exact perfect square
+    is returned exactly; otherwise the result carries rel relative terms
+    and precision v/2 + rel, where rel = N - v for an inexact f known below
+    N, and ``prec`` for an exact one (default ``DEFAULT_PREC``; it must be
+    at least 1).
 
-    Exactness is certified by degree.  Let v be the lowest exponent of f
-    and rel the number of computed terms; the candidate c (the computed
+    With g = z^-v f cut at z^rel, a coupled Newton iteration keeps s, the
+    square root, and r, its inverse.  It starts from s = +-sqrt(lead) and
+    r = 1/s; each round doubles k, capped at rel, sets
+    s <- s + r (g - s^2) / 2 mod z^k, and then takes one Newton inverse
+    step for r against the new s (skipped in the last round).
+
+    Exactness is certified by degree.  The candidate c (the computed
     terms, read as a Laurent polynomial) satisfies c^2 = f mod z^(v+rel)
     by construction.  The leading coefficient passed ``as_fraction``, so
     the ring is Q or Q[t], an integral domain, and deg(c^2) = 2 deg c.
@@ -389,24 +411,20 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     if root is None or root == 0:
         raise NoRationalSquareRoot(f"{lead_q} is not a nonzero rational square")
     rel = (f.prec - v) if f.prec is not None else window
-    # normalize to 1 + w and take the square root by coefficient recursion
-    g = [f.coeff(v + i) * lead.invert() for i in range(rel)]
-    half = Fraction(1, 2)
-    out = [Coeff.one(f.ring)]
-    for n in range(1, rel):
-        acc = g[n]
-        for i in range(1, n):
-            acc = acc - out[i] * out[n - i]
-        out.append(acc.scale(half))
     sign = root if branch >= 0 else -root
-    result = LaurentSeries.build(
-        f.ring,
-        {v // 2 + i: c.scale(sign) for i, c in enumerate(out)},
-        v // 2 + rel,
-    )
+    g = f.shift(-v).truncate(rel)
+    s = LaurentSeries.constant(f.ring, sign)
+    r = LaurentSeries.constant(f.ring, 1 / sign)
+    k = 1
+    while k < rel:
+        k = min(2 * k, rel)
+        s = _as_polynomial(s + ((g.truncate(k) - s * s) * r).scale(Fraction(1, 2)))
+        if k < rel:
+            r = _inverse_step(r, s, k)
+    result = s.shift(v // 2).truncate(v // 2 + rel)
     if not f.exact or 2 * result.terms[-1][0] != f.terms[-1][0]:
         return result
-    candidate = LaurentSeries(f.ring, result.terms, None)
+    candidate = _as_polynomial(result)
     if f.terms[-1][0] < v + rel or candidate * candidate == f:
         return candidate
     return result

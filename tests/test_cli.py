@@ -119,3 +119,24 @@ def test_rejected_argv_exits_2(argv):
 def test_prec_1_is_accepted():
     code, text = run(["factor", "1 - z", "--prec", "1"])
     assert (code, text) == (0, "unit=1 order=0 neg={} pos={} (mod O(z^1))\n")
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        pytest.param(argv, text, id=" ".join(argv))
+        for argv, text in [
+            (
+                ["residue", "--curve", "hyp:h=x^3+1", "--x", "z", "--y", "5", "--form", "1/y"],
+                "error: loop does not lie on the curve\n",
+            ),
+            (
+                ["factor", "eps*z^-1+1+O(z^1)", "--ring", "nilpotent:2"],
+                "error: constant term not certified after the negative factors"
+                " (need O(z^1), have O(z^0))\n",
+            ),
+        ]
+    ],
+)
+def test_domain_argv_exits_1(argv, text):
+    assert run(argv) == (1, text)

@@ -5,6 +5,7 @@ import pytest
 from curveloops.curves import Loop, lift_x, make_curve, point_loop, puncture_loop
 from curveloops.errors import (
     FormSingularAlongLoop,
+    LoopSpaceError,
     UnsupportedPointPair,
 )
 from curveloops.forms import (
@@ -68,6 +69,16 @@ def test_singular_pullback_rejected():
     loop = Loop(GM, S({0: 1}))  # constant loop at the pole
     with pytest.raises(FormSingularAlongLoop):
         pullback(form, loop)
+
+
+def test_off_curve_pullback_rejected():
+    # y = 5 against x = z: y^2 - x^3 - 1 = 24 - z^3 != 0
+    loop = Loop(HYP3, S({1: 1}), S({0: 5}))
+    form = MeromorphicForm.build(HYP3, XYPoly.const(1), XYPoly.y())
+    with pytest.raises(LoopSpaceError, match="does not lie on the curve"):
+        pullback(form, loop)
+    with pytest.raises(LoopSpaceError, match="does not lie on the curve"):
+        residue_along(form, loop)
 
 
 def test_holomorphic_form_zero_residue_on_odd_curve():

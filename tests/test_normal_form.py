@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveloops.errors import NotInvertible
+from curveloops.errors import InsufficientPrecision, NotInvertible
 from curveloops.normal_form import NormalForm, factor, order_of, reconstruct
 from curveloops.ring import RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries
@@ -63,6 +63,15 @@ def test_factor_rejects_noninvertible():
 
     alpha = LaurentSeries.build(POLY, {0: C.t(), 1: C.one(POLY)})
     with pytest.raises(NotInvertible):
+        factor(alpha)
+
+
+def test_factor_precision_lost_to_negative_factors():
+    # eps z^-1 + 1 + O(z): peeling (1 + eps z^-1) leaves 1 + O(z^0), whose
+    # constant term is unknown; that is a precision failure, not a non-unit
+    k2 = nilpotent_ring(2)
+    alpha = LaurentSeries.build(k2, {-1: Coeff.eps(k2), 0: 1}, 1)
+    with pytest.raises(InsufficientPrecision):
         factor(alpha)
 
 

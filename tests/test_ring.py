@@ -88,6 +88,26 @@ def test_poly_helpers():
     assert poly_eval((1, 0, 1), Fraction(2)) == 5
 
 
+def fraction_horner(a, x):
+    """a(x) by Horner's rule over Fractions."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+wide = st.one_of(
+    fractions,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**25)),
+)
+
+
+@given(st.lists(wide, max_size=9), wide)
+def test_poly_eval_matches_fraction_horner(a, x):
+    assert poly_eval(tuple(a), x) == fraction_horner(a, x)
+    assert poly_eval(tuple(a), x.numerator) == fraction_horner(a, x.numerator)
+
+
 @given(
     st.tuples(fractions, fractions, fractions),
     st.tuples(fractions, fractions, fractions),
