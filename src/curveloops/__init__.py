@@ -25,12 +25,10 @@ from .covers import (
     witness_nonextendable,
 )
 from .curves import (
-    CentralValue,
     ComponentClass,
     Curve,
     Loop,
     PunctureChart,
-    central_value,
     check_on_curve,
     classify_loop,
     cover_loop,
@@ -71,7 +69,6 @@ from .ring import POLY, RATIONAL, Coeff, Ring, nilpotent_ring
 from .series import DEFAULT_PREC, LaurentSeries, sqrt
 
 __all__ = [
-    "CentralValue",
     "Coeff",
     "ComponentClass",
     "Curve",
@@ -96,7 +93,6 @@ __all__ = [
     "Ring",
     "VerificationFailed",
     "XYPoly",
-    "central_value",
     "check_on_curve",
     "classify_family",
     "classify_loop",

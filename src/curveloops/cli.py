@@ -9,6 +9,7 @@ selftest.  Output is line-oriented plain text (byte-stable across runs);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -56,7 +57,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``run``
+    in the process (``parse_args`` does not change it)."""
     top = argparse.ArgumentParser(prog="curveloops", add_help=True)
     sub = top.add_subparsers(dest="command", required=True)
 

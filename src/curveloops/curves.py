@@ -124,15 +124,6 @@ class ComponentClass:
         return f"class=A1 connected has_pole={'true' if self.has_pole else 'false'}"
 
 
-@dataclass(frozen=True)
-class CentralValue:
-    """Where the extension of the loop lands at the disc center."""
-
-    kind: str  # "point" | "puncture"
-    point: tuple[Fraction, ...] | None = None
-    puncture: str | None = None
-
-
 # -- polynomial helpers (coefficients ascending, over Q) ---------------------
 
 
@@ -257,7 +248,8 @@ def check_on_curve(loop: Loop) -> bool:
 
 def _no_negative_part(s: LaurentSeries) -> bool:
     """Certified absence of poles: negative coefficients all known zero."""
-    if any(e < 0 for e, _ in s.terms):
+    low = s.ord_min()
+    if low is not None and low < 0:
         return False
     if s.prec is not None and s.prec < 0:
         raise InsufficientPrecision("negative coefficients are not certified")
@@ -311,22 +303,6 @@ def classify_loop(loop: Loop) -> ComponentClass:
     if lead == -1:
         return ComponentClass.pole("infinity-", n)
     raise InconsistentPoleData(f"branch value {lead} at infinity is not +-1")
-
-
-def central_value(loop: Loop) -> CentralValue:
-    """The point of the proper model hit by the extended loop at z = 0."""
-    cls = classify_loop(loop)
-    if cls.kind == POLE:
-        return CentralValue("puncture", puncture=cls.puncture)
-    if cls.kind == A1_CONNECTED and cls.has_pole:
-        return CentralValue("puncture", puncture="infinity")
-    coords = [loop.x] if loop.y is None else [loop.x, loop.y]
-    values = []
-    for s in coords:
-        if s.prec is not None and s.prec < 1:
-            raise InsufficientPrecision("constant term is not certified")
-        values.append(s.coeff(0).as_fraction())
-    return CentralValue("point", point=tuple(values))
 
 
 def cover_loop(loop: Loop, n: int) -> Loop:

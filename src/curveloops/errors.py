@@ -25,10 +25,6 @@ class ZeroSeries(LoopSpaceError):
     """Operation undefined on (the reduction of) the zero series."""
 
 
-class SubstituteDiverges(LoopSpaceError):
-    """Composition does not converge as a formal Laurent series."""
-
-
 class NotMonic(LoopSpaceError):
     """Hyperelliptic polynomial must be monic."""
 

@@ -206,10 +206,6 @@ def residue_at_place(form: MeromorphicForm, place: Place) -> Coeff:
     return residue_along(form, place_loop(form.curve, place))
 
 
-def residue_at_puncture(form: MeromorphicForm, label: str) -> Coeff:
-    return residue_at_place(form, label)
-
-
 def residue_sum(form: MeromorphicForm, places: Sequence[Place]) -> Coeff:
     """Sum of residues over a caller-supplied list of poles.
 

@@ -17,10 +17,11 @@ strictly higher power of the nilradical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import InsufficientPrecision, NotInvertible
-from .ring import Coeff, Ring
-from .series import LaurentSeries, _min_prec, resolve_prec
+from .ring import Coeff, Ring, integer_rows, packed_mul
+from .series import LaurentSeries, resolve_prec
 
 _MAX_PEEL_ROUNDS = 200
 
@@ -67,26 +68,37 @@ def _divide_one_minus(p: LaurentSeries, j: int, b: Coeff, window: int) -> Lauren
     exact polynomial and the quotient shows j consecutive zero coefficients
     past deg(p), the recurrence forces all later ones to vanish, so the
     quotient is certified exact.
+
+    The recurrence runs on integer rows.  With p = P / D and b = B / E,
+    level L (exponents Lj <= m < (L+1)j) of the quotient is Q_m / (D E^L)
+    with Q_m = E^L P_m + B Q_{m-j}, one packed product per level.
     """
     ring = p.ring
+    deg = p.rows[-1][0] if p.rows else 0
+    limit = max(deg, window) + j if p.exact else p.prec
+    bden, ((_, brow),) = integer_rows([(0, b.data)])
+    given = dict(p.rows)
+    q: list = []
+    scale = 1  # E^L
+    for start in range(0, limit, j):
+        count = min(j, limit - start)
+        level = [[v * scale for v in given.get(m, ())] for m in range(start, start + count)]
+        below = [(i, q[start - j + i]) for i in range(count) if start and any(q[start - j + i])]
+        if below:
+            carried = packed_mul([(0, brow)], below, count, ring.order)
+            level = [[x + y for x, y in zip_longest(a, c, fillvalue=0)]
+                     for a, c in zip(level, carried)]
+        q.extend(level)
+        scale *= bden
+    top = (limit - 1) // j
+    prec = limit
     if p.exact:
-        deg = max((e for e, _ in p.terms), default=0)
-        limit = max(deg, window) + j
-    else:
-        limit = p.prec
-    q: list[Coeff] = []
-    for m in range(limit):
-        val = p.coeff(m)
-        if m >= j:
-            val = val + b * q[m - j]
-        q.append(val)
-    if p.exact:
-        deg = max((e for e, _ in p.terms), default=0)
-        tail = q[max(deg, limit - j):]
-        if len(tail) >= j and all(c.is_zero() for c in tail[-j:]):
-            return LaurentSeries.build(ring, dict(enumerate(q)))
-        return LaurentSeries.build(ring, dict(enumerate(q[:window])), window)
-    return LaurentSeries.build(ring, dict(enumerate(q)), limit)
+        # limit - j >= deg(p): the last j coefficients lie past deg(p)
+        prec = window if any(any(row) for row in q[limit - j:]) else None
+        q = q if prec is None else q[:window]
+    powers = [bden ** (top - k) for k in range(top + 1)]
+    rows = [(m, [v * powers[m // j] for v in row]) for m, row in enumerate(q)]
+    return LaurentSeries.from_rows(ring, p.den * bden**top, rows, prec)
 
 
 def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
@@ -101,13 +113,7 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
     """
     window = resolve_prec(prec)
     ring = alpha.ring
-    v = alpha.valuation()
-    lead = alpha.coeff(v)
-    if not lead.is_unit():
-        raise NotInvertible("leading coefficient (mod nilradical) is not a unit")
-    for e, c in alpha.terms:
-        if e < v and not c.is_nilpotent():
-            raise NotInvertible("non-nilpotent coefficient below the order")
+    v = order_of(alpha)
     beta = alpha.shift(-v)
 
     # negative part: correct the most negative exponent until none remain
@@ -119,10 +125,10 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
                 "constant term not certified after the negative factors"
                 f" (need O(z^1), have O(z^{r.prec}))"
             )
-        negterms = [(e, c) for e, c in r.terms if e < 0]
-        if not negterms:
+        e = r.ord_min()
+        if e is None or e >= 0:
             break
-        e, c = negterms[0]
+        c = r.coeff(e)
         if not c.is_nilpotent():
             raise NotInvertible("non-nilpotent negative coefficient")
         delta = -(c * r.coeff(0).invert())
@@ -162,7 +168,9 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
         # Positive-part degrees >= j are missing; through the negative
         # factors they can disturb exponents as low as v + j - sum(i).
         span = sum(neg)
-        nf_prec = _min_prec(alpha.prec, v + j - span)
+        nf_prec = v + j - span
+        if alpha.prec is not None:
+            nf_prec = min(alpha.prec, nf_prec)
     return NormalForm(
         ring, unit, v, tuple(sorted(neg.items())), tuple(sorted(pos.items())), nf_prec
     )

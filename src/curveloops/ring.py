@@ -13,18 +13,22 @@ are immutable; mixing rings raises ``RingMismatch``.
 
 Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (see
 ``LaurentSeries.__mul__``), go through one kernel, ``packed_mul``, by
-Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  An operand is
-a 2-D array: rows indexed by i (the z-exponent of a series, or 0 for a
-single coefficient), each row the payload of one coefficient, so the entry
-(i, j) is the coefficient of z^i y^j, with y standing for 1 (Q), eps or t.
-Each operand is scaled to integers over one common denominator.  Entry
-(i, j) goes to slot i*S + j of one Python int, where S = ra + rb - 1 is
-the row length of the product (no row spills into the next) and every
+Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  The kernel
+works on integers only.  An operand is a 2-D array of ints: rows indexed
+by i (the z-exponent of a series, or 0 for a single coefficient), each row
+the payload of one coefficient, so the entry (i, j) is the coefficient of
+z^i y^j, with y standing for 1 (Q), eps or t.  A series already stores its
+coefficients this way, as integer rows over one shared denominator, so the
+caller multiplies the two denominators and the kernel never sees a
+fraction; ``integer_rows`` is the one conversion from rows of rationals.
+Entry (i, j) goes to slot i*S + j of one Python int, where S = ra + rb - 1
+is the row length of the product (no row spills into the next) and every
 slot has the same byte width, wide enough for a signed sum of the
-largest possible products.  One big-int multiply then yields every product
-coefficient in its slot.  Slots are read back as signed integers, each
-negative slot having borrowed one from the slot above; entries with
-j >= k (for eps^k) and rows past the requested count are dropped.
+largest possible products.  One big-int multiply (a squaring when both
+operands are the same array) then yields every product coefficient in its
+slot.  Slots are read back as signed integers, each negative slot having
+borrowed one from the slot above; entries with j >= k (for eps^k) and rows
+past the requested count are dropped.
 """
 
 from __future__ import annotations
@@ -90,14 +94,13 @@ def poly_add(a, b):
 _ZERO = Fraction(0)
 
 
-def _integer_rows(rows):
-    """(common denominator, rows scaled to ints, largest entry bit length)."""
+def integer_rows(rows):
+    """(den, int rows) for (i, row) pairs of rationals: every entry times
+    the least common denominator ``den`` of all of them."""
     # a list, not a generator: star-unpacking a generator builds a guessed
     # size-10 tuple and resizes it, which strands tuples on the free lists
     den = lcm(*[q.denominator for _, row in rows for q in row])
-    ints = [(i, [q.numerator * (den // q.denominator) for q in row]) for i, row in rows]
-    bits = max([abs(v) for _, row in ints for v in row]).bit_length()
-    return den, ints, bits
+    return den, [(i, [q.numerator * (den // q.denominator) for q in row]) for i, row in rows]
 
 
 def _pack(rows, stride: int, width: int) -> int:
@@ -115,49 +118,60 @@ def _pack(rows, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _bits(rows) -> int:
+    return max([abs(v) for _, row in rows for v in row]).bit_length()
+
+
 def packed_mul(
-    a: Sequence[tuple[int, Sequence[Fraction]]],
-    b: Sequence[tuple[int, Sequence[Fraction]]],
+    a: Sequence[tuple[int, Sequence[int]]],
+    b: Sequence[tuple[int, Sequence[int]]],
     count: int,
     cut: int | None = None,
-) -> list[list[Fraction]]:
-    """Product of two 2-D arrays of rationals by one integer multiply.
+) -> list[list[int]]:
+    """Product of two 2-D arrays of integers by one integer multiply.
 
     ``a`` and ``b`` list (i, row) pairs, i >= 0 ascending, each row a
-    non-empty sequence of rationals: row[j] is the coefficient of z^i y^j.
+    non-empty sequence of ints: row[j] is the coefficient of z^i y^j.
     Returns rows 0 .. count-1 of the product, each holding the
     coefficients of y^j for j < ``cut`` (all of them when ``cut`` is None).
+    Passing the same object as ``a`` and ``b`` packs it once and squares.
     See the module docstring for the layout.
     """
+    square = a is b
     ra = max([len(row) for _, row in a])
-    rb = max([len(row) for _, row in b])
+    rb = ra if square else max([len(row) for _, row in b])
     stride = ra + rb - 1
     keep = stride if cut is None else min(cut, stride)
-    da, ia, bits_a = _integer_rows(a)
-    db, ib, bits_b = _integer_rows(b)
+    bits_a = _bits(a)
+    bits_b = bits_a if square else _bits(b)
     # a product entry sums at most this many nonzero products
     terms = min(len(a), len(b)) * min(ra, rb)
     width = (bits_a + bits_b + terms.bit_length() + 8) // 8  # + a sign bit
     slots = count * stride
-    product = _pack(ia, stride, width) * _pack(ib, stride, width)
+    packed = _pack(a, stride, width)
+    product = packed * packed if square else packed * _pack(b, stride, width)
     raw = (product & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
-    den = da * db
     values = []
     borrow = 0
     for at in range(0, width * slots, width):
         s = int.from_bytes(raw[at:at + width], "little", signed=True)
         values.append(s + borrow)
         borrow = s < 0
-    return [
-        [Fraction(v, den) if v else _ZERO for v in values[at:at + keep]]
-        for at in range(0, slots, stride)
-    ]
+    return [values[at:at + keep] for at in range(0, slots, stride)]
+
+
+def _fraction_product(a, b, cut=None) -> list[Fraction]:
+    """The product of two coefficient payloads of rationals."""
+    da, ia = integer_rows([(0, a)])
+    db, ib = integer_rows([(0, b)])
+    den = da * db
+    return [Fraction(v, den) if v else _ZERO for v in packed_mul(ia, ib, 1, cut)[0]]
 
 
 def poly_mul(a, b):
     if not a or not b:
         return ()
-    return _poly_trim(packed_mul([(0, a)], [(0, b)], 1)[0])
+    return _poly_trim(_fraction_product(a, b))
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
@@ -237,7 +251,7 @@ class Coeff:
 
     @staticmethod
     def from_row(ring: Ring, row: Sequence[Fraction]) -> "Coeff":
-        """The coefficient with payload ``row``, as ``packed_mul`` returns it."""
+        """The coefficient with payload ``row`` (trimmed over Q[t])."""
         if ring.kind == POLY_KIND:
             return Coeff(ring, _poly_trim(row))
         return Coeff(ring, tuple(row))
@@ -270,7 +284,7 @@ class Coeff:
         return Coeff(self.ring, tuple([a + b for a, b in zip(self.data, other.data)]))
 
     def __neg__(self) -> "Coeff":
-        # tuple([...]), not tuple(<generator>): see _integer_rows
+        # tuple([...]), not tuple(<generator>): see integer_rows
         return Coeff(self.ring, tuple([-c for c in self.data]))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
@@ -283,8 +297,7 @@ class Coeff:
             return Coeff(self.ring, (self.data[0] * other.data[0],))
         if kind == POLY_KIND:
             return Coeff(self.ring, poly_mul(self.data, other.data))
-        (row,) = packed_mul([(0, self.data)], [(0, other.data)], 1, self.ring.order)
-        return Coeff(self.ring, tuple(row))
+        return Coeff(self.ring, tuple(_fraction_product(self.data, other.data, self.ring.order)))
 
     def scale(self, q: Scalar) -> "Coeff":
         q = Fraction(q)

@@ -8,14 +8,30 @@ series is an exact Laurent polynomial (all higher coefficients are zero).
 The distinction between "known to be zero" and "unknown" is load-bearing:
 valuations and residues are only reported when the stored precision
 certifies them, otherwise ``InsufficientPrecision`` is raised.
+
+Storage is ``(ring, den, rows, prec)``: integers over one shared
+denominator, the layout of FLINT's ``fmpq_poly``.  ``rows`` is an
+ascending tuple of ``(exponent, payload)`` pairs, sparse in the exponent;
+a payload is a tuple of ints, never all zero: one int over Q, k ints over
+Q[eps]/eps^k, and the coefficients of t^0, t^1, ... with trailing zeros
+trimmed over Q[t].  The coefficient at z^e is payload / den.  The form is
+canonical, so ``==`` and ``hash`` compare values: ``den > 0``, ``den`` and
+all entries are coprime, and every stored exponent lies below ``prec``.
+Arithmetic works on the integers, and products pass the rows straight to
+``ring.packed_mul``.  ``terms``, ``coeff`` and ``as_dict`` build the
+``Coeff`` view on demand, and ``LaurentSeries(ring, terms, prec)`` builds
+a series from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Mapping, Union
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
+from operator import itemgetter
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     InsufficientPrecision,
@@ -23,16 +39,27 @@ from .errors import (
     NotInvertible,
     OddValuation,
     RingMismatch,
-    SubstituteDiverges,
     ZeroSeries,
 )
-from .ring import Coeff, Ring, Scalar, packed_mul
+from .ring import (
+    NILPOTENT_KIND,
+    POLY,
+    POLY_KIND,
+    RATIONAL,
+    Coeff,
+    Ring,
+    Scalar,
+    integer_rows,
+    packed_mul,
+)
 
 #: Default number of terms kept past the lowest exponent when an exact
 #: input forces an infinite expansion (inverses, square roots, ...).
 DEFAULT_PREC = 24
 
 CoeffLike = Union[Coeff, int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 def resolve_prec(prec: int | None) -> int:
@@ -53,13 +80,59 @@ def _min_prec(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-@dataclass(frozen=True)
+def _fill(s: "LaurentSeries", ring: Ring, den: int, rows: tuple, prec: int | None) -> None:
+    object.__setattr__(s, "ring", ring)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "rows", rows)
+    object.__setattr__(s, "prec", prec)
+
+
+def _raw(ring: Ring, den: int, rows: tuple, prec: int | None) -> "LaurentSeries":
+    """The series with these fields, which must already be canonical."""
+    s = object.__new__(LaurentSeries)
+    _fill(s, ring, den, rows, prec)
+    return s
+
+
+def _canonical(ring: Ring, den: int, rows: Iterable) -> tuple[int, tuple]:
+    """(den, rows) of ``LaurentSeries.from_rows``."""
+    poly = ring.kind == POLY_KIND
+    out = []
+    for e, p in rows:
+        if poly:
+            n = len(p)
+            while n and not p[n - 1]:
+                n -= 1
+            p = p[:n]
+        if any(p):
+            out.append((e, tuple(p)))
+    g = gcd(den, *[v for _, p in out for v in p]) if den != 1 else 1
+    if g != 1:
+        den //= g
+        out = [(e, tuple([v // g for v in p])) for e, p in out]
+    return den, tuple(out)
+
+
+def _scaled(rows: tuple, f: int):
+    return rows if f == 1 else [(e, tuple([v * f for v in p])) for e, p in rows]
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class LaurentSeries:
-    """Element of A((z)); immutable, canonical (no stored zero terms)."""
+    """Element of A((z)); immutable, canonical (see the module docstring)."""
 
     ring: Ring
-    terms: tuple[tuple[int, Coeff], ...]  # ascending exponents, nonzero coeffs
-    prec: int | None = None  # None: exact Laurent polynomial
+    den: int
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+    prec: int | None
+
+    def __init__(self, ring: Ring, terms: Iterable[tuple[int, Coeff]], prec: int | None = None):
+        """The series with these (exponent, ``Coeff``) terms; zero terms
+        and terms at or past ``prec`` are dropped."""
+        kept = sorted(
+            [(e, c.data) for e, c in terms if prec is None or e < prec], key=itemgetter(0)
+        )
+        _fill(self, ring, *_canonical(ring, *integer_rows(kept)), prec)
 
     # -- construction ---------------------------------------------------
 
@@ -69,22 +142,28 @@ class LaurentSeries:
         terms: Mapping[int, CoeffLike],
         prec: int | None = None,
     ) -> "LaurentSeries":
-        out = {}
+        out = []
         for e, c in terms.items():
             if not isinstance(c, Coeff):
                 c = Coeff.const(ring, c)
             elif c.ring != ring:
                 raise RingMismatch("term coefficient from a different ring")
-            if c.is_zero():
-                continue
-            if prec is not None and e >= prec:
-                continue
-            out[e] = c
-        return LaurentSeries(ring, tuple(sorted(out.items())), prec)
+            out.append((e, c))
+        return LaurentSeries(ring, out, prec)
+
+    @staticmethod
+    def from_rows(ring: Ring, den: int, rows: Iterable, prec: int | None) -> "LaurentSeries":
+        """The series sum payload z^e / den in canonical form.
+
+        ``rows`` are (e, payload) pairs of ints, ascending in e and below
+        ``prec``; zero payloads are dropped, Q[t] payloads trimmed and the
+        common factor of ``den`` > 0 and the entries divided out.
+        """
+        return _raw(ring, *_canonical(ring, den, rows), prec)
 
     @staticmethod
     def zero(ring: Ring) -> "LaurentSeries":
-        return LaurentSeries(ring, ())
+        return _raw(ring, 1, (), None)
 
     @staticmethod
     def one(ring: Ring) -> "LaurentSeries":
@@ -98,6 +177,28 @@ class LaurentSeries:
     def constant(ring: Ring, coeff: CoeffLike) -> "LaurentSeries":
         return LaurentSeries.monomial(ring, 0, coeff)
 
+    # -- the Coeff view ---------------------------------------------------
+
+    def _coeff(self, payload: tuple[int, ...]) -> Coeff:
+        den = self.den
+        return Coeff(self.ring, tuple([Fraction(v, den) if v else _ZERO for v in payload]))
+
+    @property
+    def terms(self) -> tuple[tuple[int, Coeff], ...]:
+        """(exponent, coefficient) pairs, ascending, nonzero coefficients."""
+        return tuple([(e, self._coeff(p)) for e, p in self.rows])
+
+    def coeff(self, exp: int) -> Coeff:
+        """Stored coefficient at ``exp`` (zero when absent; no prec check)."""
+        rows = self.rows
+        i = bisect_left(rows, (exp,))
+        if i < len(rows) and rows[i][0] == exp:
+            return self._coeff(rows[i][1])
+        return Coeff.zero(self.ring)
+
+    def as_dict(self) -> dict[int, Coeff]:
+        return dict(self.terms)
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -106,23 +207,13 @@ class LaurentSeries:
 
     def is_zero(self) -> bool:
         """Exactly the zero series (not merely zero up to precision)."""
-        return self.exact and not self.terms
+        return self.prec is None and not self.rows
 
     def zero_to_prec(self) -> bool:
-        return not self.terms
-
-    def coeff(self, exp: int) -> Coeff:
-        """Stored coefficient at ``exp`` (zero when absent; no prec check)."""
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return Coeff.zero(self.ring)
+        return not self.rows
 
     def ord_min(self) -> int | None:
-        return self.terms[0][0] if self.terms else None
-
-    def as_dict(self) -> dict[int, Coeff]:
-        return dict(self.terms)
+        return self.rows[0][0] if self.rows else None
 
     # -- ring operations ---------------------------------------------------
 
@@ -132,17 +223,21 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
-        out = self.as_dict()
-        for e, c in other.terms:
-            if e in out:
-                out[e] = out[e] + c
-            else:
-                out[e] = c
-        return LaurentSeries.build(self.ring, out, _min_prec(self.prec, other.prec))
+        prec = _min_prec(self.prec, other.prec)
+        den = lcm(self.den, other.den)
+        out = dict(_scaled(self.rows, den // self.den))
+        for e, q in _scaled(other.rows, den // other.den):
+            p = out.get(e)
+            out[e] = q if p is None else tuple([x + y for x, y in zip_longest(p, q, fillvalue=0)])
+        rows = sorted(out.items())  # exponents are distinct: payloads never compared
+        if prec is not None:
+            rows = rows[:bisect_left(rows, (prec,))]
+        return LaurentSeries.from_rows(self.ring, den, rows, prec)
 
     def __neg__(self) -> "LaurentSeries":
-        # tuple([...]), not tuple(<generator>): see ring._integer_rows
-        return LaurentSeries(self.ring, tuple([(e, -c) for e, c in self.terms]), self.prec)
+        # tuple([...]), not tuple(<generator>): see ring.integer_rows
+        rows = tuple([(e, tuple([-v for v in p])) for e, p in self.rows])
+        return _raw(self.ring, self.den, rows, self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -163,42 +258,47 @@ class LaurentSeries:
             if om is None:
                 om = b.prec if b.prec is not None else 0
             prec = _min_prec(prec, a.prec + om)
-        if not self.terms or not other.terms:
-            return LaurentSeries(self.ring, (), prec)
+        if not self.rows or not other.rows:
+            return _raw(self.ring, 1, (), prec)
         # Exponents of both operands lie on base + step*N; the packed
         # product runs over that lattice.
-        ea, eb = self.terms[0][0], other.terms[0][0]
-        step = gcd(*(e - ea for e, _ in self.terms), *(e - eb for e, _ in other.terms)) or 1
-        count = (self.terms[-1][0] - ea + other.terms[-1][0] - eb) // step + 1
+        ea, eb = self.rows[0][0], other.rows[0][0]
+        step = gcd(*[e - ea for e, _ in self.rows], *[e - eb for e, _ in other.rows]) or 1
+        count = (self.rows[-1][0] - ea + other.rows[-1][0] - eb) // step + 1
         if prec is not None:
             count = min(count, -((ea + eb - prec) // step))
         if count <= 0:
-            return LaurentSeries(self.ring, (), prec)
-        rows = packed_mul(
-            [((e - ea) // step, c.data) for e, c in self.terms],
-            [((e - eb) // step, c.data) for e, c in other.terms],
-            count,
-            self.ring.order,
+            return _raw(self.ring, 1, (), prec)
+        a = [((e - ea) // step, p) for e, p in self.rows]
+        # the same list for s * s: the kernel then packs once and squares
+        b = a if other is self else [((e - eb) // step, p) for e, p in other.rows]
+        rows = packed_mul(a, b, count, self.ring.order)
+        base = ea + eb
+        return LaurentSeries.from_rows(
+            self.ring,
+            self.den * other.den,
+            [(base + m * step, row) for m, row in enumerate(rows)],
+            prec,
         )
-        terms = [
-            (ea + eb + m * step, Coeff.from_row(self.ring, row))
-            for m, row in enumerate(rows)
-            if any(row)
-        ]
-        return LaurentSeries(self.ring, tuple(terms), prec)
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
         if isinstance(c, Coeff):
-            out = {e: v * c for e, v in self.terms}
-        else:
-            out = {e: v.scale(c) for e, v in self.terms}
-        return LaurentSeries.build(self.ring, out, self.prec)
+            if c.is_zero():
+                return _raw(self.ring, 1, (), self.prec)
+            return self * LaurentSeries.constant(self.ring, c)
+        q = Fraction(c)
+        if not q:
+            return _raw(self.ring, 1, (), self.prec)
+        n = q.numerator
+        rows = [(e, tuple([v * n for v in p])) for e, p in self.rows]
+        return LaurentSeries.from_rows(self.ring, self.den * q.denominator, rows, self.prec)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by z^n."""
-        return LaurentSeries(
+        return _raw(
             self.ring,
-            tuple([(e + n, c) for e, c in self.terms]),
+            self.den,
+            tuple([(e + n, p) for e, p in self.rows]),
             None if self.prec is None else self.prec + n,
         )
 
@@ -206,7 +306,12 @@ class LaurentSeries:
         if prec is None:
             return self
         p = _min_prec(self.prec, prec)
-        return LaurentSeries(self.ring, tuple([(e, c) for e, c in self.terms if e < p]), p)
+        rows = self.rows
+        n = bisect_left(rows, (p,))
+        if n == len(rows):
+            return self if p == self.prec else _raw(self.ring, self.den, rows, p)
+        # dropping terms may leave a common factor with den
+        return LaurentSeries.from_rows(self.ring, self.den, rows[:n], p)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
@@ -228,8 +333,9 @@ class LaurentSeries:
         Raises ``ZeroSeries`` when the reduction is exactly zero and
         ``InsufficientPrecision`` when no nonzero coefficient is certified.
         """
-        for e, c in self.terms:
-            if not c.reduce_mod_nilradical().is_zero():
+        nilpotent = self.ring.kind == NILPOTENT_KIND
+        for e, p in self.rows:
+            if not nilpotent or p[0]:
                 return e
         if self.exact:
             raise ZeroSeries("valuation of the zero series (mod nilradical)")
@@ -254,16 +360,17 @@ class LaurentSeries:
         the cost is that of a few whole-series products.
         """
         window = resolve_prec(prec)
-        if not self.terms:
+        if not self.rows:
             if self.exact:
                 raise NotInvertible("zero series")
             raise InsufficientPrecision("all stored coefficients vanish")
-        v, lead = self.terms[0]
+        v, payload = self.rows[0]
+        lead = self._coeff(payload)
         if not lead.is_unit():
             raise NotInvertible(
                 "lowest coefficient is not a unit; use the normal form"
             )
-        if self.exact and len(self.terms) == 1:
+        if self.exact and len(self.rows) == 1:
             return LaurentSeries.monomial(self.ring, -v, lead.invert())
         rel = (self.prec - v) if self.prec is not None else window
         g = self.shift(-v).truncate(rel)
@@ -275,9 +382,9 @@ class LaurentSeries:
         return b.shift(-v).truncate(rel - v)
 
     def derivative(self) -> "LaurentSeries":
-        out = {e - 1: c.scale(e) for e, c in self.terms if e != 0}
-        return LaurentSeries.build(
-            self.ring, out, None if self.prec is None else self.prec - 1
+        rows = [(e - 1, tuple([v * e for v in p])) for e, p in self.rows if e]
+        return LaurentSeries.from_rows(
+            self.ring, self.den, rows, None if self.prec is None else self.prec - 1
         )
 
     def dlog(self, prec: int | None = None) -> "LaurentSeries":
@@ -300,48 +407,28 @@ class LaurentSeries:
         """
         if n < 1:
             raise ValueError("covering degree must be a positive integer")
-        return LaurentSeries(
+        return _raw(
             self.ring,
-            tuple([(e * n, c) for e, c in self.terms]),
+            self.den,
+            tuple([(e * n, p) for e, p in self.rows]),
             None if self.prec is None else self.prec * n,
         )
 
-    def substitute(self, g: "LaurentSeries") -> "LaurentSeries":
-        """Composition f(g(z)).
-
-        Requires valuation(g) >= 1 unless f is an exact Laurent polynomial;
-        negative exponents of f additionally need g invertible.
-        """
-        self._check(g)
-        gv = g.valuation()
-        if not self.exact and gv < 1:
-            raise SubstituteDiverges(
-                "composition with a non-positive-valuation series"
-            )
-        result = LaurentSeries.zero(self.ring)
-        g_inv = None
-        for e, c in self.terms:
-            if e == 0:
-                power = LaurentSeries.one(self.ring)
-            elif e > 0:
-                power = g ** e
-            else:
-                if g_inv is None:
-                    g_inv = g.invert()
-                power = g_inv ** (-e)
-            result = result + power.scale(c)
-        cap = None if self.exact else self.prec * gv
-        return result.truncate(_min_prec(result.prec, cap))
-
     def specialize(self, t0: Scalar) -> "LaurentSeries":
-        """Evaluate Q[t]-coefficients at t = t0, landing over the rationals."""
-        from .ring import POLY, RATIONAL
+        """Evaluate Q[t]-coefficients at t = t0, landing over the rationals.
 
+        For t0 = p/q and D the largest t-degree, the coefficient
+        sum c_i t0^i / den is (sum c_i p^i q^(D-i)) / (den q^D), so every
+        value is one integer over the shared denominator den q^D.
+        """
         if self.ring != POLY:
             raise RingMismatch("specialize needs a series over Q[t]")
-        return LaurentSeries.build(
-            RATIONAL, {e: c.specialize(t0) for e, c in self.terms}, self.prec
-        )
+        t0 = Fraction(t0)
+        p, q = t0.numerator, t0.denominator
+        d = max([len(c) for _, c in self.rows], default=1) - 1
+        powers = [p**i * q ** (d - i) for i in range(d + 1)]
+        rows = [(e, (sum([c * w for c, w in zip(cs, powers)]),)) for e, cs in self.rows]
+        return LaurentSeries.from_rows(RATIONAL, self.den * q**d, rows, self.prec)
 
 
 def _inverse_step(b: LaurentSeries, g: LaurentSeries, k: int) -> LaurentSeries:
@@ -357,7 +444,7 @@ def _inverse_step(b: LaurentSeries, g: LaurentSeries, k: int) -> LaurentSeries:
 
 def _as_polynomial(s: LaurentSeries) -> LaurentSeries:
     """The stored terms of ``s`` read as an exact Laurent polynomial."""
-    return LaurentSeries(s.ring, s.terms, None)
+    return _raw(s.ring, s.den, s.rows, None)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -396,11 +483,12 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     computed and compared with f.
     """
     window = resolve_prec(prec)
-    if not f.terms:
+    if not f.rows:
         if f.exact:
             return LaurentSeries.zero(f.ring)
         raise InsufficientPrecision("square root of a series with no certified terms")
-    v, lead = f.terms[0]
+    v = f.rows[0][0]
+    lead = f.coeff(v)
     if v % 2 != 0:
         raise OddValuation(f"lowest exponent {v} is odd")
     try:
@@ -422,9 +510,9 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         if k < rel:
             r = _inverse_step(r, s, k)
     result = s.shift(v // 2).truncate(v // 2 + rel)
-    if not f.exact or 2 * result.terms[-1][0] != f.terms[-1][0]:
+    if not f.exact or 2 * result.rows[-1][0] != f.rows[-1][0]:
         return result
     candidate = _as_polynomial(result)
-    if f.terms[-1][0] < v + rel or candidate * candidate == f:
+    if f.rows[-1][0] < v + rel or candidate * candidate == f:
         return candidate
     return result

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from curveloops.acceptance import GOLDEN_CLI
-from curveloops.cli import run
+from curveloops.cli import _build_parser, run
 
 
 @pytest.mark.parametrize("argv,code,text", GOLDEN_CLI, ids=lambda v: str(v)[:50])
@@ -140,3 +140,23 @@ def test_prec_1_is_accepted():
 )
 def test_domain_argv_exits_1(argv, text):
     assert run(argv) == (1, text)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_shared_parser_keeps_answers_apart():
+    """A usage error, a valid call and a domain error in one process give
+    the bytes the golden corpus and the regression tests expect."""
+    golden = {tuple(argv): (code, text) for argv, code, text in GOLDEN_CLI}
+    factor_argv = ("factor", "2*z^2 - 6*z^3")
+    domain_argv = ("classify", "--curve", "gm", "--x", "0")
+    for _ in range(2):
+        assert run(["frobnicate"]) == (2, "")
+        assert run(["factor", "1 - z", "--prec", "0"]) == (2, "")
+        assert run(list(factor_argv)) == golden[factor_argv]
+        assert run(list(domain_argv)) == golden[domain_argv]
+        assert run(["factor", "1 - z", "--prec", "1"]) == (
+            0, "unit=1 order=0 neg={} pos={} (mod O(z^1))\n"
+        )

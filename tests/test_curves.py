@@ -1,11 +1,9 @@
-from fractions import Fraction
 
 import pytest
 
 from curveloops.curves import (
     ComponentClass,
     Loop,
-    central_value,
     check_on_curve,
     classify_loop,
     cover_loop,
@@ -138,16 +136,7 @@ def test_classify_needs_rational_ring():
         classify_loop(Loop(GM, x))
 
 
-# -- central values, coverings, local loops ---------------------------------------
-
-
-def test_central_value():
-    v = central_value(Loop(GM, S({0: 5, 1: 1})))
-    assert v.kind == "point" and v.point == (Fraction(5),)
-    v = central_value(Loop(GM, S({-2: 1})))
-    assert v.kind == "puncture" and v.puncture == "infinity"
-    v = central_value(lift_x(HYP3, S({0: 2, 1: 1})))
-    assert v.point == (Fraction(2), Fraction(3))
+# -- coverings, local loops ---------------------------------------
 
 
 def test_cover_loop_multiplies_order():

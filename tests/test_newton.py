@@ -1,5 +1,6 @@
 """Newton ``invert`` and ``sqrt`` against the O(n^2) coefficient recurrences
-they replaced, kept here as references, and against sympy's ring series."""
+they replaced, kept here as references, and against sympy's ring series;
+residues of quotients against ``sympy.residue``."""
 
 from fractions import Fraction
 from math import isqrt
@@ -206,3 +207,37 @@ def test_agrees_with_sympy(op, data):
     got = f.invert(n) if op == "invert" else sqrt(f, prec=n)
     want = _sympy_series(poly, op, n)
     assert {e: c.as_fraction() for e, c in got.terms if e < n} == want
+
+
+@st.composite
+def laurent_quotients(draw):
+    """(a, b): exact Laurent polynomials over Q, b with a unit lead."""
+    a = {e: draw(small) for e in draw(st.sets(st.integers(-5, 6), max_size=5))}
+    vb = draw(st.integers(-3, 3))
+    b = {vb: draw(small.filter(bool))}
+    for e in draw(st.sets(st.integers(vb + 1, vb + 5), max_size=3)):
+        b[e] = draw(small)
+    return a, b
+
+
+@given(laurent_quotients())
+@settings(max_examples=30, deadline=None)
+def test_residue_agrees_with_sympy(ab):
+    import sympy
+
+    a, b = ab
+    fa = LaurentSeries.build(RATIONAL, a)
+    fb = LaurentSeries.build(RATIONAL, b)
+    # fb.invert(n) is known below n - v(b); times fa, below n - v(b) + v(a),
+    # so n >= v(b) - v(a) certifies the coefficient at z^-1
+    va = fa.ord_min() if fa.ord_min() is not None else 0
+    n = max(1, fb.valuation() - va)
+    got = (fa * fb.invert(n)).residue().as_fraction()
+    z = sympy.Symbol("z")
+
+    def expr(terms):
+        return sum((sympy.Rational(c.numerator, c.denominator) * z**e
+                    for e, c in terms.items()), sympy.Integer(0))
+
+    want = sympy.residue(expr(a) / expr(b), z, 0)
+    assert got == Fraction(int(want.p), int(want.q))

@@ -1,14 +1,25 @@
-"""The packed (Kronecker) product against schoolbook references, and the
-degree certificate of ``sqrt`` against squaring the candidate back."""
+"""The packed (Kronecker) product against schoolbook references, the
+canonical integer-row form of series, and the degree certificate of
+``sqrt`` against squaring the candidate back."""
 
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curveloops.errors import LoopSpaceError
 from curveloops.normal_form import factor
-from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring, packed_mul, poly_mul
+from curveloops.ring import (
+    POLY,
+    RATIONAL,
+    Coeff,
+    integer_rows,
+    nilpotent_ring,
+    packed_mul,
+    poly_mul,
+)
 from curveloops.series import DEFAULT_PREC, LaurentSeries, sqrt
 
 # -- schoolbook references over plain Fractions ------------------------------------
@@ -56,6 +67,16 @@ def schoolbook_series(f, g):
             data += [Fraction(0)] * (k - len(data))
         terms[e] = Coeff.from_row(f.ring, data)
     return LaurentSeries.build(f.ring, terms, prec)
+
+
+def kernel(a, b, count, cut=None):
+    """``packed_mul`` on the integer rows of two arrays of rationals, each
+    over its common denominator, read back as rationals; one array passed
+    twice reaches the kernel as one list, which it squares."""
+    da, ia = integer_rows(a)
+    db, ib = (da, ia) if b is a else integer_rows(b)
+    rows = packed_mul(ia, ib, count, cut)
+    return [[Fraction(v, da * db) for v in row] for row in rows]
 
 
 # -- strategies ------------------------------------------------------------------------
@@ -106,7 +127,7 @@ def series(draw, ring):
 @given(arrays(), arrays(), st.integers(1, 30), st.one_of(st.none(), st.integers(1, 8)))
 @settings(max_examples=150)
 def test_packed_mul_matches_schoolbook(a, b, count, cut):
-    assert packed_mul(a, b, count, cut) == schoolbook(a, b, count, cut)
+    assert kernel(a, b, count, cut) == schoolbook(a, b, count, cut)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -116,14 +137,14 @@ def test_packed_mul_fixed_rows(k, data):
     """Rows of one length, as for Q (k = 1) and Q[eps]/eps^3 cut at eps^3."""
     a, b = data.draw(arrays(k)), data.draw(arrays(k))
     count = a[-1][0] + b[-1][0] + 1
-    assert packed_mul(a, b, count, k) == schoolbook(a, b, count, k)
+    assert kernel(a, b, count, k) == schoolbook(a, b, count, k)
 
 
 def test_packed_mul_signed_borrow_across_slots():
     # -1 in the lowest slot borrows from every slot above it
     a = [(0, [Fraction(-1), Fraction(0)]), (1, [Fraction(1), Fraction(-1)])]
     b = [(0, [Fraction(1, 3)]), (2, [Fraction(-(10**30))])]
-    assert packed_mul(a, b, 4) == schoolbook(a, b, 4)
+    assert kernel(a, b, 4) == schoolbook(a, b, 4)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -135,7 +156,14 @@ def test_packed_mul_slot_holds_the_largest_sum(k, n):
     for sign in (1, -1):
         a = [(0, [x] * n)]
         b = [(0, [sign * x] * n)]
-        assert packed_mul(a, b, 1) == schoolbook(a, b, 1)
+        assert kernel(a, b, 1) == schoolbook(a, b, 1)
+
+
+@given(arrays(), st.integers(1, 30), st.one_of(st.none(), st.integers(1, 8)))
+@settings(max_examples=100)
+def test_packed_mul_square_matches_schoolbook(a, count, cut):
+    """One array passed twice is packed once and squared."""
+    assert kernel(a, a, count, cut) == schoolbook(a, a, count, cut)
 
 
 @given(st.lists(entries, max_size=7), st.lists(entries, max_size=7))
@@ -168,6 +196,15 @@ def test_series_mul_matches_schoolbook(ring, data):
     assert f * g == schoolbook_series(f, g)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=80)
+def test_series_square_matches_schoolbook(ring, data):
+    """f * f takes the kernel's squaring path; f may be inexact."""
+    f = data.draw(series(ring))
+    assert f * f == schoolbook_series(f, f)
+
+
 def test_series_mul_sparse_and_empty_inexact():
     one_plus = LaurentSeries.build(RATIONAL, {0: 1, 180: 1})
     assert one_plus * one_plus == LaurentSeries.build(RATIONAL, {0: 1, 180: 2, 360: 1})
@@ -176,6 +213,77 @@ def test_series_mul_sparse_and_empty_inexact():
     unknown = LaurentSeries(RATIONAL, (), 3)
     assert unknown * one_plus == LaurentSeries(RATIONAL, (), 3)
     assert (one_plus.truncate(200) * covered).prec == 250
+
+
+# -- the canonical integer-row form -------------------------------------------------
+
+
+def assert_canonical(s):
+    """The storage invariants of a series (see the ``series`` docstring)."""
+    entries = [v for _, p in s.rows for v in p]
+    assert s.den > 0
+    assert gcd(s.den, *entries) == 1
+    for e, p in s.rows:
+        assert isinstance(p, tuple) and all(isinstance(v, int) for v in p)
+        assert any(p)
+        if s.ring == POLY:
+            assert p[-1] != 0
+        else:
+            assert len(p) == (s.ring.order or 1)
+        assert s.prec is None or e < s.prec
+    exps = [e for e, _ in s.rows]
+    assert exps == sorted(set(exps))
+    assert LaurentSeries(s.ring, s.terms, s.prec) == s
+    assert hash(LaurentSeries(s.ring, s.terms, s.prec)) == hash(s)
+
+
+def _results(f, g, t0, n, window):
+    """Every operation that builds a series from integer rows."""
+    yield f + g
+    yield f - g
+    yield f * g
+    yield f * f
+    yield -f
+    yield f.derivative()
+    yield f.covering(n)
+    yield f.truncate(window)
+    yield f.scale(t0)
+    yield f.scale(g.coeff(0))
+    if f.ring == POLY:
+        yield f.specialize(t0)
+    for op in (lambda: f.invert(window), lambda: sqrt(f * f, prec=window)):
+        try:
+            yield op()
+        except LoopSpaceError:
+            pass
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_results_are_canonical(ring, data):
+    f, g = data.draw(series(ring)), data.draw(series(ring))
+    t0 = data.draw(small)
+    n = data.draw(st.integers(1, 4))
+    window = data.draw(st.integers(1, 12))
+    for s in (f, g, *_results(f, g, t0, n, window)):
+        assert_canonical(s)
+
+
+@given(series(POLY), small)
+@settings(max_examples=100)
+def test_specialize_matches_coefficientwise(f, t0):
+    """The integer evaluation over den q^D against ``Coeff.specialize``."""
+    want = LaurentSeries.build(RATIONAL, {e: c.specialize(t0) for e, c in f.terms}, f.prec)
+    assert f.specialize(t0) == want
+
+
+def test_common_factor_is_divided_out():
+    half = LaurentSeries.build(RATIONAL, {0: Fraction(1, 2), 1: Fraction(1, 4)})
+    assert half.den == 4 and half.rows == ((0, (2,)), (1, (1,)))
+    assert (half + half).den == 2
+    assert half.truncate(1).den == 2 and half.truncate(1).rows == ((0, (1,)),)
+    assert (half - half).rows == () and (half - half).den == 1
 
 
 # -- the sqrt certificate ---------------------------------------------------------------

@@ -8,7 +8,6 @@ from curveloops.errors import (
     NoRationalSquareRoot,
     NotInvertible,
     OddValuation,
-    SubstituteDiverges,
     ZeroSeries,
 )
 from curveloops.ring import RATIONAL, Coeff, nilpotent_ring
@@ -158,7 +157,7 @@ def test_dlog_residue_is_valuation():
     assert s.dlog(prec=4).residue().as_fraction() == 2
 
 
-# -- covering, substitution, specialization ---------------------------------------
+# -- covering, specialization ---------------------------------------
 
 
 def test_covering_scales_exponents_and_prec():
@@ -176,14 +175,6 @@ def test_covering_dlog_equivariance():
     rhs = s.dlog(prec=8).covering(n).scale(n).shift(n - 1)
     cut = min(lhs.prec, rhs.prec)
     assert lhs.truncate(cut) == rhs.truncate(cut)
-
-
-def test_substitute():
-    f = S({0: 1, 1: 1})  # 1 + z
-    g = S({2: 3})
-    assert f.substitute(g) == S({0: 1, 2: 3})
-    with pytest.raises(SubstituteDiverges):
-        S({0: 1}, prec=5).substitute(S({0: 1, 1: 1}))
 
 
 def test_specialize():
