@@ -24,7 +24,7 @@ from .errors import (
     RingMismatch,
     ZeroSeries,
 )
-from .ring import RATIONAL, Coeff, Ring
+from .ring import RATIONAL, Ring
 from .series import DEFAULT_PREC, LaurentSeries
 
 AFFINE_LINE = "a1"
@@ -158,7 +158,7 @@ def eval_poly_at_series(h: Sequence[Fraction], x: LaurentSeries) -> LaurentSerie
     """h(x(z)) by Horner's rule in the series ring."""
     acc = LaurentSeries.zero(x.ring)
     for c in reversed(h):
-        acc = acc * x + LaurentSeries.constant(x.ring, Coeff.const(x.ring, c))
+        acc = acc * x + LaurentSeries.constant(x.ring, c)
     return acc
 
 

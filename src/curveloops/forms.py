@@ -116,14 +116,15 @@ class XYPoly:
 
     def evaluate(self, loop: Loop) -> LaurentSeries:
         ring = loop.ring
+        xs = {i: loop.x ** i for i in {i for i, _, _ in self.terms if i}}
+        ys = {j: loop.y ** j for j in {j for _, j, _ in self.terms if j}}
         acc = LaurentSeries.zero(ring)
         for i, j, c in self.terms:
-            term = LaurentSeries.constant(ring, Coeff.const(ring, c))
-            if i:
-                term = term * loop.x ** i
-            if j:
-                term = term * loop.y ** j
-            acc = acc + term
+            if i and j:
+                term = xs[i] * ys[j]
+            else:
+                term = xs[i] if i else ys[j] if j else LaurentSeries.one(ring)
+            acc = acc + term.scale(c)
         return acc
 
     def __str__(self):

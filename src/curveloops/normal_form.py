@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import InsufficientPrecision, NotInvertible
-from .ring import Coeff, Ring, integer_rows, packed_mul
+from .ring import Coeff, Ring, packed_mul
 from .series import LaurentSeries, resolve_prec
 
 _MAX_PEEL_ROUNDS = 200
@@ -67,7 +67,11 @@ def _divide_one_minus(p: LaurentSeries, j: int, b: Coeff, window: int) -> Lauren
     Quotient coefficients satisfy q_m = p_m + b q_{m-j}.  When ``p`` is an
     exact polynomial and the quotient shows j consecutive zero coefficients
     past deg(p), the recurrence forces all later ones to vanish, so the
-    quotient is certified exact.
+    quotient is certified exact.  An exact quotient has degree at most
+    deg(p) - j when b is not nilpotent, hence no zero divisor, and at most
+    deg(p) + (k-1) j when b is nilpotent, as it is then
+    p * sum_{m<k} (b z^j)^m over Q[eps]/eps^k.  So an exact p is expanded
+    below max(deg(p), window) + k j + 1, with k = 1 unless b is nilpotent.
 
     The recurrence runs on integer rows.  With p = P / D and b = B / E,
     level L (exponents Lj <= m < (L+1)j) of the quotient is Q_m / (D E^L)
@@ -75,8 +79,9 @@ def _divide_one_minus(p: LaurentSeries, j: int, b: Coeff, window: int) -> Lauren
     """
     ring = p.ring
     deg = p.rows[-1][0] if p.rows else 0
-    limit = max(deg, window) + j if p.exact else p.prec
-    bden, ((_, brow),) = integer_rows([(0, b.data)])
+    reach = ring.order if b.is_nilpotent() else 1
+    limit = max(deg, window) + reach * j + 1 if p.exact else p.prec
+    bden, brow = b.den, b.payload
     given = dict(p.rows)
     q: list = []
     scale = 1  # E^L
@@ -93,7 +98,7 @@ def _divide_one_minus(p: LaurentSeries, j: int, b: Coeff, window: int) -> Lauren
     top = (limit - 1) // j
     prec = limit
     if p.exact:
-        # limit - j >= deg(p): the last j coefficients lie past deg(p)
+        # limit - j > deg(p): the last j coefficients lie past deg(p)
         prec = window if any(any(row) for row in q[limit - j:]) else None
         q = q if prec is None else q[:window]
     powers = [bden ** (top - k) for k in range(top + 1)]
@@ -180,23 +185,26 @@ def reconstruct(nf: NormalForm, prec: int | None = None) -> LaurentSeries:
     """Expand the factorization back into a series.
 
     The result is truncated at ``prec`` when given, else at ``nf.prec``
-    (exact forms reconstruct exactly).
+    (exact forms reconstruct exactly).  The negative factors lower
+    exponents by at most sum(i), so for a cut at N the unit times the
+    positive factors is needed only below N - order + sum(i), and each
+    product drops what lies past its own precision.
     """
     ring = nf.ring
-    out = LaurentSeries.monomial(ring, nf.order, nf.unit)
-    for i, a in nf.neg:
-        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), -i: -a})
+    cut = prec if prec is not None else nf.prec
+    out = LaurentSeries.constant(ring, nf.unit)
+    if cut is not None:
+        out = out.truncate(cut - nf.order + sum([i for i, _ in nf.neg]))
     for j, b in nf.pos:
         out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), j: -b})
-    return out.truncate(prec if prec is not None else nf.prec)
+    for i, a in nf.neg:
+        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), -i: -a})
+    return out.shift(nf.order).truncate(cut)
 
 
 def order_of(alpha: LaurentSeries) -> int:
     """The order v of the factorization; the valuation mod the nilradical."""
-    v = alpha.valuation()
+    v = alpha.valuation()  # every coefficient below v is nilpotent
     if not alpha.coeff(v).is_unit():
         raise NotInvertible("leading coefficient (mod nilradical) is not a unit")
-    for e, c in alpha.terms:
-        if e < v and not c.is_nilpotent():
-            raise NotInvertible("non-nilpotent coefficient below the order")
     return v

@@ -6,10 +6,13 @@ Coefficients live in one of:
 * a nilpotent extension Q[eps]/(eps^k), k >= 2 (``nilpotent_ring(k)``),
 * the polynomial ring Q[t], for one-parameter families (``POLY``).
 
-Everything is exact: rationals are ``fractions.Fraction`` (arbitrary
-precision), nilpotent elements are fixed-length coefficient vectors
-truncated at eps^k, polynomials are canonical coefficient tuples.  Values
-are immutable; mixing rings raises ``RingMismatch``.
+A value is stored exactly as integers over one denominator, the format
+of one row of a ``LaurentSeries``: a ``Coeff`` is ``(ring, den, payload)``
+and stands for payload / den.  ``canonical`` states the payload rules, and
+``payload_is_unit`` and ``payload_is_nilpotent`` are the ring's tests on a
+payload, so that series code never branches on the ring.  Values are
+immutable; mixing rings raises ``RingMismatch``.  ``Coeff.data`` reads a
+value back as ``fractions.Fraction`` entries.
 
 Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (see
 ``LaurentSeries.__mul__``), go through one kernel, ``packed_mul``, by
@@ -17,14 +20,11 @@ Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  The kernel
 works on integers only.  An operand is a 2-D array of ints: rows indexed
 by i (the z-exponent of a series, or 0 for a single coefficient), each row
 the payload of one coefficient, so the entry (i, j) is the coefficient of
-z^i y^j, with y standing for 1 (Q), eps or t.  A series already stores its
-coefficients this way, as integer rows over one shared denominator, so the
-caller multiplies the two denominators and the kernel never sees a
-fraction; ``integer_rows`` is the one conversion from rows of rationals.
-Entry (i, j) goes to slot i*S + j of one Python int, where S = ra + rb - 1
-is the row length of the product (no row spills into the next) and every
-slot has the same byte width, wide enough for a signed sum of the
-largest possible products.  One big-int multiply (a squaring when both
+z^i y^j, with y standing for 1 (Q), eps or t.  The caller multiplies the
+two denominators, so the kernel never sees a fraction.  Entry (i, j) goes
+to slot i*S + j of one Python int, where S = ra + rb - 1 is the row length
+of the product (no row spills into the next) and every slot has the same
+byte width, wide enough for a signed sum of the largest possible products.  One big-int multiply (a squaring when both
 operands are the same array) then yields every product coefficient in its
 slot.  Slots are read back as signed integers, each negative slot having
 borrowed one from the slot above; entries with j >= k (for eps^k) and rows
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import NotAUnit, RingMismatch
@@ -77,21 +78,57 @@ def nilpotent_ring(k: int) -> Ring:
     return Ring(NILPOTENT_KIND, k)
 
 
-def _poly_trim(data: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(data)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# -- the payload rules ----------------------------------------------------
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+def canonical(ring: Ring, den: int, rows: Iterable) -> tuple[int, tuple]:
+    """The canonical (den, rows) of sum payload z^e / den.
+
+    A payload is a tuple of ints: one over Q, the coefficients of eps^0 ..
+    eps^(k-1) over Q[eps]/eps^k, and those of t^0, t^1, ... with trailing
+    zeros trimmed over Q[t].  Zero payloads are dropped, and the common
+    factor of ``den`` and all entries is divided out, signed so that
+    ``den`` > 0.  A zero ``Coeff`` keeps its payload, over ``den`` = 1.
+    """
+    poly = ring.kind == POLY_KIND
+    out = []
+    for e, p in rows:
+        if poly:
+            n = len(p)
+            while n and not p[n - 1]:
+                n -= 1
+            p = p[:n]
+        if any(p):
+            out.append((e, tuple(p)))
+    g = gcd(den, *[v for _, p in out for v in p]) if den != 1 else 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        out = [(e, tuple([v // g for v in p])) for e, p in out]
+    return den, tuple(out)
 
 
-_ZERO = Fraction(0)
+def payload_is_unit(ring: Ring, p: Sequence[int]) -> bool:
+    """Whether the payload ``p`` is a unit: its constant term is nonzero,
+    and over Q[t] it is a constant."""
+    if ring.kind == NILPOTENT_KIND:
+        return p[0] != 0
+    return len(p) == 1 and p[0] != 0
+
+
+def payload_is_nilpotent(ring: Ring, p: Sequence[int]) -> bool:
+    """Whether the payload ``p`` lies in the nilradical: over Q[eps]/eps^k
+    its constant term vanishes; Q and Q[t] have no nonzero nilpotents."""
+    if ring.kind == NILPOTENT_KIND:
+        return not p[0]
+    return not any(p)
+
+
+def _reduced(ring: Ring, den: int, payload: Sequence[int]) -> "Coeff":
+    """The ``Coeff`` payload / den (den != 0) in canonical form."""
+    den, rows = canonical(ring, den, ((0, payload),))
+    return Coeff(ring, den, rows[0][1]) if rows else Coeff.zero(ring)
 
 
 def integer_rows(rows):
@@ -160,57 +197,39 @@ def packed_mul(
     return [values[at:at + keep] for at in range(0, slots, stride)]
 
 
-def _fraction_product(a, b, cut=None) -> list[Fraction]:
-    """The product of two coefficient payloads of rationals."""
-    da, ia = integer_rows([(0, a)])
-    db, ib = integer_rows([(0, b)])
-    den = da * db
-    return [Fraction(v, den) if v else _ZERO for v in packed_mul(ia, ib, 1, cut)[0]]
+def poly_eval(a: Sequence[Scalar], x: Scalar) -> Fraction:
+    """a(x) for the rational coefficients a_0, a_1, ... of a polynomial."""
+    return Coeff.poly(a).specialize(x).as_fraction()
 
 
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    return _poly_trim(_fraction_product(a, b))
-
-
-def poly_eval(a, x: Fraction) -> Fraction:
-    """a(x) for x = p/q, as (sum n_i p^i q^(d-i)) / (den q^d) in integers,
-    where n_i = den a_i over the common denominator den of the a_i."""
-    if not a:
-        return _ZERO
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    den = lcm(*[c.denominator for c in a])
-    acc, qpow = 0, 1
-    for c in reversed(a):
-        acc = acc * p + c.numerator * (den // c.denominator) * qpow
-        qpow *= q
-    return Fraction(acc, den * qpow // q)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coeff:
-    """An element of one of the supported rings.
-
-    ``data`` is the canonical payload: a 1-tuple for rationals, a length-k
-    vector (c0, c1, ..., c_{k-1}) meaning sum c_i eps^i for nilpotent rings,
-    and an ascending coefficient tuple with no trailing zeros for Q[t].
-    """
+    """An element of one of the supported rings: ``payload`` / ``den``, in
+    the form of ``canonical`` (the constructors below build it), so ``==``
+    and ``hash`` compare values."""
 
     ring: Ring
-    data: tuple[Fraction, ...]
+    den: int
+    payload: tuple[int, ...]
+
+    @property
+    def data(self) -> tuple[Fraction, ...]:
+        """The payload entries as rationals: (c0, c1, ...) is sum c_i eps^i
+        or sum c_i t^i."""
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.payload])
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def const(ring: Ring, value: Scalar | Fraction) -> "Coeff":
-        q = Fraction(value)
-        if ring.kind == RATIONAL_KIND:
-            return Coeff(ring, (q,))
+    def const(ring: Ring, value: Scalar) -> "Coeff":
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        n = q.numerator
         if ring.kind == NILPOTENT_KIND:
-            return Coeff(ring, (q,) + (Fraction(0),) * (ring.order - 1))
-        return Coeff(ring, _poly_trim((q,)))
+            return Coeff(ring, q.denominator, (n,) + (0,) * (ring.order - 1))
+        if not n and ring.kind == POLY_KIND:
+            return Coeff(ring, 1, ())
+        return Coeff(ring, q.denominator, (n,))
 
     @staticmethod
     def zero(ring: Ring) -> "Coeff":
@@ -222,141 +241,126 @@ class Coeff:
 
     @staticmethod
     def eps(ring: Ring, power: int = 1, value: Scalar = 1) -> "Coeff":
-        if ring.kind != NILPOTENT_KIND:
-            raise RingMismatch("eps only exists in nilpotent rings")
-        k = ring.order
-        vec = [Fraction(0)] * k
-        if 0 <= power < k:
-            vec[power] = Fraction(value)
-        return Coeff(ring, tuple(vec))
+        return Coeff.nil(ring, [0] * power + [value] if power >= 0 else ())
 
     @staticmethod
     def t(power: int = 1, value: Scalar = 1) -> "Coeff":
-        vec = [Fraction(0)] * (power + 1)
-        vec[power] = Fraction(value)
-        return Coeff(POLY, _poly_trim(vec))
+        return Coeff.poly([0] * power + [value])
 
     @staticmethod
     def poly(coeffs: Iterable[Scalar]) -> "Coeff":
-        return Coeff(POLY, _poly_trim(Fraction(c) for c in coeffs))
+        return _from_scalars(POLY, coeffs)
 
     @staticmethod
     def nil(ring: Ring, coeffs: Iterable[Scalar]) -> "Coeff":
+        """sum c_i eps^i, padded with zeros and cut at eps^k."""
         if ring.kind != NILPOTENT_KIND:
             raise RingMismatch("nil() needs a nilpotent ring")
-        vec = [Fraction(c) for c in coeffs]
         k = ring.order
-        vec = (vec + [Fraction(0)] * k)[:k]
-        return Coeff(ring, tuple(vec))
-
-    @staticmethod
-    def from_row(ring: Ring, row: Sequence[Fraction]) -> "Coeff":
-        """The coefficient with payload ``row`` (trimmed over Q[t])."""
-        if ring.kind == POLY_KIND:
-            return Coeff(ring, _poly_trim(row))
-        return Coeff(ring, tuple(row))
+        return _from_scalars(ring, (list(coeffs) + [0] * k)[:k])
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.data)
+        return not any(self.payload)
 
     def is_unit(self) -> bool:
-        if self.ring.kind == RATIONAL_KIND:
-            return self.data[0] != 0
-        if self.ring.kind == NILPOTENT_KIND:
-            return self.data[0] != 0
-        return len(self.data) == 1  # nonzero constant polynomial
+        return payload_is_unit(self.ring, self.payload)
 
     def is_nilpotent(self) -> bool:
-        return self.reduce_mod_nilradical().is_zero()
+        return payload_is_nilpotent(self.ring, self.payload)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "Coeff") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: "Coeff") -> "Coeff":
         self._check(other)
-        if self.ring.kind == POLY_KIND:
-            return Coeff(self.ring, poly_add(self.data, other.data))
-        return Coeff(self.ring, tuple([a + b for a, b in zip(self.data, other.data)]))
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        payload = [x * fa + y * fb for x, y in zip_longest(self.payload, other.payload, fillvalue=0)]
+        return _reduced(self.ring, den, payload)
 
     def __neg__(self) -> "Coeff":
         # tuple([...]), not tuple(<generator>): see integer_rows
-        return Coeff(self.ring, tuple([-c for c in self.data]))
+        return Coeff(self.ring, self.den, tuple([-v for v in self.payload]))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         self._check(other)
-        kind = self.ring.kind
-        if kind == RATIONAL_KIND:
-            return Coeff(self.ring, (self.data[0] * other.data[0],))
-        if kind == POLY_KIND:
-            return Coeff(self.ring, poly_mul(self.data, other.data))
-        return Coeff(self.ring, tuple(_fraction_product(self.data, other.data, self.ring.order)))
+        a, b = self.payload, other.payload
+        if not a or not b:  # the zero of Q[t]
+            return Coeff.zero(self.ring)
+        if len(a) == 1 == len(b):
+            payload = (a[0] * b[0],)
+        else:
+            payload = packed_mul([(0, a)], [(0, b)], 1, self.ring.order)[0]
+        return _reduced(self.ring, self.den * other.den, payload)
 
     def scale(self, q: Scalar) -> "Coeff":
-        q = Fraction(q)
-        if self.ring.kind == POLY_KIND:
-            return Coeff(self.ring, _poly_trim(c * q for c in self.data))
-        return Coeff(self.ring, tuple([c * q for c in self.data]))
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        n = q.numerator
+        return _reduced(self.ring, self.den * q.denominator, [v * n for v in self.payload])
 
     def invert(self) -> "Coeff":
-        """Exact multiplicative inverse; raises ``NotAUnit`` if none exists."""
-        kind = self.ring.kind
-        if kind == RATIONAL_KIND:
-            if self.data[0] == 0:
-                raise NotAUnit("division by zero")
-            return Coeff(self.ring, (1 / self.data[0],))
-        if kind == POLY_KIND:
-            if len(self.data) != 1:
-                raise NotAUnit("only nonzero constants are units of Q[t]")
-            return Coeff(self.ring, (1 / self.data[0],))
-        if self.data[0] == 0:
-            raise NotAUnit("constant term vanishes")
-        # power-series inversion truncated at eps^k
-        k = self.ring.order
-        c0inv = 1 / self.data[0]
-        out = [Fraction(0)] * k
-        out[0] = c0inv
-        for n in range(1, k):
-            out[n] = -c0inv * sum(self.data[i] * out[n - i] for i in range(1, n + 1))
-        return Coeff(self.ring, tuple(out))
+        """Exact multiplicative inverse; raises ``NotAUnit`` if none exists.
 
-    def reduce_mod_nilradical(self) -> "Coeff":
-        """Kill nilpotents; rationals and polynomials are returned as-is."""
-        if self.ring.kind == NILPOTENT_KIND:
-            return Coeff(RATIONAL, (self.data[0],))
-        return self
+        For the k entries of p, 1/p = sum r_n eps^n / p_0^(n+1) with r_0 = 1
+        and r_n = -sum_{i=1..n} p_i p_0^(i-1) r_{n-i}, all integers.
+        """
+        p = self.payload
+        if not payload_is_unit(self.ring, p):
+            raise NotAUnit(f"{self} is not a unit of {self.ring}")
+        k = len(p)
+        powers = [p[0] ** i for i in range(k + 1)]
+        r = [1]
+        for n in range(1, k):
+            r.append(-sum([p[i] * powers[i - 1] * r[n - i] for i in range(1, n + 1)]))
+        den = self.den
+        return _reduced(self.ring, powers[k], [den * r[n] * powers[k - 1 - n] for n in range(k)])
 
     def specialize(self, t0: Scalar) -> "Coeff":
-        """Evaluate a Q[t] coefficient at t = t0, landing in the rationals."""
+        """Evaluate a Q[t] coefficient at t = t0, landing in the rationals:
+        for t0 = p/q and degree d, (sum c_i p^i q^(d-i)) / (den q^d)."""
         if self.ring.kind != POLY_KIND:
             raise RingMismatch("specialize needs a Q[t] coefficient")
-        return Coeff(RATIONAL, (poly_eval(self.data, Fraction(t0)),))
+        if not self.payload:
+            return Coeff.zero(RATIONAL)
+        t0 = Fraction(t0)
+        p, q = t0.numerator, t0.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.payload):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return _reduced(RATIONAL, self.den * (qpow // q), (acc,))
 
     def as_fraction(self) -> Fraction:
         """The value of a rational (or constant) coefficient."""
-        if self.ring.kind == RATIONAL_KIND:
-            return self.data[0]
-        if self.ring.kind == POLY_KIND:
-            if len(self.data) > 1:
-                raise RingMismatch("non-constant polynomial coefficient")
-            return self.data[0] if self.data else Fraction(0)
-        raise RingMismatch("nilpotent coefficient is not a plain fraction")
+        if self.ring.kind == NILPOTENT_KIND:
+            raise RingMismatch("nilpotent coefficient is not a plain fraction")
+        if len(self.payload) > 1:
+            raise RingMismatch("non-constant polynomial coefficient")
+        return Fraction(self.payload[0], self.den) if self.payload else Fraction(0)
 
     def poly_degree(self) -> int:
         """Degree of a Q[t] coefficient (-1 for the zero polynomial)."""
         if self.ring.kind != POLY_KIND:
             raise RingMismatch("poly_degree needs a Q[t] coefficient")
-        return len(self.data) - 1
+        return len(self.payload) - 1
 
     def __str__(self):
         return format_coeff(self)
+
+
+def _from_scalars(ring: Ring, values: Iterable[Scalar]) -> Coeff:
+    """The coefficient whose payload has these rational entries."""
+    den, ((_, payload),) = integer_rows([(0, [Fraction(c) for c in values])])
+    return _reduced(ring, den, payload)
 
 
 def _format_monomials(pairs, symbol):
@@ -379,14 +383,10 @@ def _format_monomials(pairs, symbol):
 
 
 def format_coeff(c: Coeff) -> str:
-    if c.ring.kind == RATIONAL_KIND:
-        return str(c.data[0])
     symbol = "eps" if c.ring.kind == NILPOTENT_KIND else "t"
     return _format_monomials(enumerate(c.data), symbol)
 
 
 def coeff_is_composite(c: Coeff) -> bool:
     """True when the printed form is a sum needing parentheses in products."""
-    if c.ring.kind == RATIONAL_KIND:
-        return False
-    return sum(1 for q in c.data if q != 0) > 1
+    return sum([1 for v in c.payload if v]) > 1

@@ -11,16 +11,16 @@ certifies them, otherwise ``InsufficientPrecision`` is raised.
 
 Storage is ``(ring, den, rows, prec)``: integers over one shared
 denominator, the layout of FLINT's ``fmpq_poly``.  ``rows`` is an
-ascending tuple of ``(exponent, payload)`` pairs, sparse in the exponent;
-a payload is a tuple of ints, never all zero: one int over Q, k ints over
-Q[eps]/eps^k, and the coefficients of t^0, t^1, ... with trailing zeros
-trimmed over Q[t].  The coefficient at z^e is payload / den.  The form is
-canonical, so ``==`` and ``hash`` compare values: ``den > 0``, ``den`` and
-all entries are coprime, and every stored exponent lies below ``prec``.
-Arithmetic works on the integers, and products pass the rows straight to
-``ring.packed_mul``.  ``terms``, ``coeff`` and ``as_dict`` build the
-``Coeff`` view on demand, and ``LaurentSeries(ring, terms, prec)`` builds
-a series from it.
+ascending tuple of ``(exponent, payload)`` pairs, sparse in the exponent,
+and the coefficient at z^e is payload / den: a ``Coeff`` is one such row,
+with its own denominator.  Payloads follow the rules of
+``ring.canonical`` and are never zero; ``den > 0``, ``den`` and all
+entries are coprime, and every stored exponent lies below ``prec``.  The
+form is canonical, so ``==`` and ``hash`` compare values.  Arithmetic
+works on the integers, and products pass the rows straight to
+``ring.packed_mul``.  ``terms``, ``coeff`` and ``as_dict`` read rows as
+``Coeff`` values (one gcd each), and ``LaurentSeries(ring, terms, prec)``
+puts ``Coeff`` values over their common denominator.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ from .errors import (
     ZeroSeries,
 )
 from .ring import (
-    NILPOTENT_KIND,
     POLY,
-    POLY_KIND,
     RATIONAL,
     Coeff,
     Ring,
     Scalar,
-    integer_rows,
+    canonical,
     packed_mul,
+    payload_is_nilpotent,
 )
 
 #: Default number of terms kept past the lowest exponent when an exact
@@ -58,8 +57,6 @@ from .ring import (
 DEFAULT_PREC = 24
 
 CoeffLike = Union[Coeff, int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def resolve_prec(prec: int | None) -> int:
@@ -94,25 +91,6 @@ def _raw(ring: Ring, den: int, rows: tuple, prec: int | None) -> "LaurentSeries"
     return s
 
 
-def _canonical(ring: Ring, den: int, rows: Iterable) -> tuple[int, tuple]:
-    """(den, rows) of ``LaurentSeries.from_rows``."""
-    poly = ring.kind == POLY_KIND
-    out = []
-    for e, p in rows:
-        if poly:
-            n = len(p)
-            while n and not p[n - 1]:
-                n -= 1
-            p = p[:n]
-        if any(p):
-            out.append((e, tuple(p)))
-    g = gcd(den, *[v for _, p in out for v in p]) if den != 1 else 1
-    if g != 1:
-        den //= g
-        out = [(e, tuple([v // g for v in p])) for e, p in out]
-    return den, tuple(out)
-
-
 def _scaled(rows: tuple, f: int):
     return rows if f == 1 else [(e, tuple([v * f for v in p])) for e, p in rows]
 
@@ -128,11 +106,19 @@ class LaurentSeries:
 
     def __init__(self, ring: Ring, terms: Iterable[tuple[int, Coeff]], prec: int | None = None):
         """The series with these (exponent, ``Coeff``) terms; zero terms
-        and terms at or past ``prec`` are dropped."""
+        and terms at or past ``prec`` are dropped.  Over the lcm of the
+        canonical ``Coeff`` denominators the rows are canonical: a prime's
+        top power there divides some ``den`` but not all of its payload."""
         kept = sorted(
-            [(e, c.data) for e, c in terms if prec is None or e < prec], key=itemgetter(0)
+            [(e, c) for e, c in terms if (prec is None or e < prec) and any(c.payload)],
+            key=itemgetter(0),
         )
-        _fill(self, ring, *_canonical(ring, *integer_rows(kept)), prec)
+        den = lcm(*[c.den for _, c in kept])
+        rows = tuple([
+            (e, c.payload if c.den == den else tuple([v * (den // c.den) for v in c.payload]))
+            for e, c in kept
+        ])
+        _fill(self, ring, den, rows, prec)
 
     # -- construction ---------------------------------------------------
 
@@ -153,13 +139,10 @@ class LaurentSeries:
 
     @staticmethod
     def from_rows(ring: Ring, den: int, rows: Iterable, prec: int | None) -> "LaurentSeries":
-        """The series sum payload z^e / den in canonical form.
-
-        ``rows`` are (e, payload) pairs of ints, ascending in e and below
-        ``prec``; zero payloads are dropped, Q[t] payloads trimmed and the
-        common factor of ``den`` > 0 and the entries divided out.
-        """
-        return _raw(ring, *_canonical(ring, den, rows), prec)
+        """The series sum payload z^e / den, in the form of
+        ``ring.canonical``; ``rows`` are (e, payload) pairs of ints,
+        ascending in e and below ``prec``, and ``den`` > 0."""
+        return _raw(ring, *canonical(ring, den, rows), prec)
 
     @staticmethod
     def zero(ring: Ring) -> "LaurentSeries":
@@ -180,8 +163,13 @@ class LaurentSeries:
     # -- the Coeff view ---------------------------------------------------
 
     def _coeff(self, payload: tuple[int, ...]) -> Coeff:
+        """The stored row ``payload`` as a ``Coeff``: the row is trimmed
+        and nonzero already, so only the common factor with ``den`` goes."""
         den = self.den
-        return Coeff(self.ring, tuple([Fraction(v, den) if v else _ZERO for v in payload]))
+        g = gcd(den, *payload)
+        if g == 1:
+            return Coeff(self.ring, den, payload)
+        return Coeff(self.ring, den // g, tuple([v // g for v in payload]))
 
     @property
     def terms(self) -> tuple[tuple[int, Coeff], ...]:
@@ -333,9 +321,8 @@ class LaurentSeries:
         Raises ``ZeroSeries`` when the reduction is exactly zero and
         ``InsufficientPrecision`` when no nonzero coefficient is certified.
         """
-        nilpotent = self.ring.kind == NILPOTENT_KIND
         for e, p in self.rows:
-            if not nilpotent or p[0]:
+            if not payload_is_nilpotent(self.ring, p):
                 return e
         if self.exact:
             raise ZeroSeries("valuation of the zero series (mod nilradical)")

@@ -135,3 +135,95 @@ def test_order_additivity_spot():
     a = N({-2: nil3(0, 0, 1), -1: nil3(3), 0: nil3(1, 1)})
     b = N({1: nil3(0, 1), 2: nil3(-2)})
     assert order_of(a * b) == order_of(a) + order_of(b) == 1
+
+
+def test_exact_round_trip_seed_226():
+    # dividing by (1 - b z^3), b nilpotent, leaves an exact quotient of
+    # degree up to deg(p) + (k - 1) * 3, past max(deg(p), 96) + 3
+    nf = NormalForm(
+        NIL3,
+        nil3(-1, -6, Fraction(-4, 3)),
+        1,
+        ((1, nil3(0, Fraction(5, 3), 5)),),
+        (
+            (3, nil3(0, Fraction(1, 4), 5)),
+            (23, nil3(Fraction(-3, 2), 2, -2)),
+            (68, nil3(Fraction(2, 3), Fraction(-1, 4), 2)),
+            (92, nil3(0, 0, 6)),
+        ),
+    )
+    assert factor(reconstruct(nf), prec=96) == nf
+
+
+@st.composite
+def windowed_normal_forms(draw):
+    """(nf, w): an exact form over Q[eps]/eps^k, k = 2..4, whose positive
+    degrees lie below w; positive coefficients are often nilpotent."""
+    k = draw(st.integers(2, 4))
+    ring = nilpotent_ring(k)
+    w = draw(st.integers(2, 8))
+
+    def coeff(c0):
+        return Coeff.nil(ring, [c0] + draw(st.lists(fractions, min_size=k - 1, max_size=k - 1)))
+
+    unit = coeff(draw(fractions.filter(bool)))
+    neg = {}
+    for i in draw(st.sets(st.integers(1, 3))):
+        c = coeff(0)
+        if not c.is_zero():
+            neg[i] = c
+    pos = {}
+    for j in draw(st.sets(st.integers(1, w - 1))):
+        c = coeff(0 if draw(st.booleans()) else draw(fractions))
+        if not c.is_zero():
+            pos[j] = c
+    order = draw(st.integers(-3, 3))
+    return NormalForm(ring, unit, order, tuple(sorted(neg.items())), tuple(sorted(pos.items()))), w
+
+
+@given(windowed_normal_forms())
+@settings(max_examples=150, deadline=None)
+def test_exact_round_trip_within_window(case):
+    nf, w = case
+    assert factor(reconstruct(nf), prec=w) == nf
+
+
+def untruncated(nf, prec=None):
+    """Every binomial multiplied exactly, then one cut."""
+    ring = nf.ring
+    out = LaurentSeries.monomial(ring, nf.order, nf.unit)
+    for i, a in nf.neg:
+        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), -i: -a})
+    for j, b in nf.pos:
+        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), j: -b})
+    return out.truncate(prec if prec is not None else nf.prec)
+
+
+@st.composite
+def factored_series(draw):
+    """A form from ``factor`` of a random series over Q or Q[eps]/eps^3,
+    exact or known below a random precision, and a cut or None."""
+    ring = draw(st.sampled_from([RATIONAL, NIL3]))
+
+    def coeff(unit=False):
+        c0 = draw(fractions.filter(bool) if unit else fractions)
+        if ring == RATIONAL:
+            return Coeff.const(ring, c0)
+        return nil3(c0, draw(fractions), draw(fractions))
+
+    v = draw(st.integers(-3, 3))
+    terms = {v: coeff(unit=True)}
+    for e in draw(st.sets(st.integers(v + 1, v + 12), max_size=6)):
+        terms[e] = coeff()
+    if ring == NIL3 and draw(st.booleans()):
+        terms[v - 1] = nil3(0, draw(fractions), draw(fractions))
+    prec = draw(st.one_of(st.none(), st.integers(v + 1, v + 14)))
+    nf = factor(LaurentSeries.build(ring, terms, prec), prec=draw(st.integers(1, 12)))
+    return nf, draw(st.one_of(st.none(), st.integers(v - 6, v + 16)))
+
+
+@given(factored_series())
+@settings(max_examples=100, deadline=None)
+def test_truncated_reconstruct_matches_the_full_product(case):
+    nf, cut = case
+    assert reconstruct(nf, prec=cut) == untruncated(nf, prec=cut)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from curveloops.ring import (
     format_coeff,
     nilpotent_ring,
     poly_eval,
-    poly_mul,
 )
 
 NIL3 = nilpotent_ring(3)
@@ -64,7 +64,6 @@ def test_ring_mismatch_rejected():
 def test_specialize_and_reduce():
     c = Coeff.poly([1, 2, 1])  # (1 + t)^2
     assert c.specialize(3) == Coeff.const(RATIONAL, 16)
-    assert nil3(5, 7).reduce_mod_nilradical() == Coeff.const(RATIONAL, 5)
     assert c.poly_degree() == 2
 
 
@@ -84,7 +83,7 @@ def test_format_coeff():
 
 
 def test_poly_helpers():
-    assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
+    assert Coeff.poly([1, 1]) * Coeff.poly([1, -1]) == Coeff.poly([1, 0, -1])
     assert poly_eval((1, 0, 1), Fraction(2)) == 5
 
 
@@ -108,15 +107,40 @@ def test_poly_eval_matches_fraction_horner(a, x):
     assert poly_eval(tuple(a), x.numerator) == fraction_horner(a, x.numerator)
 
 
-@given(
-    st.tuples(fractions, fractions, fractions),
-    st.tuples(fractions, fractions, fractions),
-    st.tuples(fractions, fractions, fractions),
-)
-def test_nilpotent_ring_axioms(a, b, c):
-    x, y, z = (nil3(*v) for v in (a, b, c))
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
+AXIOM_RINGS = [nilpotent_ring(k) for k in (2, 3, 4, 5)] + [POLY]
+
+
+def coeffs(ring):
+    if ring == POLY:
+        return st.lists(fractions, max_size=4).map(Coeff.poly)
+    k = ring.order
+    return st.lists(fractions, min_size=k, max_size=k).map(lambda cs: Coeff.nil(ring, cs))
+
+
+def assert_canonical(c):
+    """The storage invariants of a ``Coeff`` (see ``ring.canonical``)."""
+    assert all(isinstance(v, int) for v in c.payload)
+    assert c.den > 0
+    assert gcd(c.den, *c.payload) == 1
+    if c.ring == POLY:
+        assert not c.payload or c.payload[-1] != 0
+    else:
+        assert len(c.payload) == c.ring.order
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=str)
+@given(data=st.data())
+def test_coeff_ring_axioms(ring, data):
+    x, y, z = (data.draw(coeffs(ring)) for _ in range(3))
+    results = [x, y, z, x * (y + z), x * y + x * z, x * y, y * x, (x * y) * z, x * (y * z), x - y]
+    assert results[3] == results[4]
+    assert results[5] == results[6]
+    assert results[7] == results[8]
     if x.is_unit():
-        assert x * x.invert() == Coeff.one(NIL3)
+        results += [x.invert(), x * x.invert()]
+        assert x * x.invert() == Coeff.one(ring)
+    values = [a.data for a in results]
+    for a, da in zip(results, values):
+        assert_canonical(a)
+        for b, db in zip(results, values):
+            assert (a == b) == (da == db)
