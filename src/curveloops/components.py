@@ -21,6 +21,7 @@ from .curves import (
     ComponentClass,
     Curve,
     Loop,
+    _loop,
     check_on_curve,
     classify_loop,
 )
@@ -77,8 +78,10 @@ class FamilyClassification:
 
 
 def _specialize_loop(loop: Loop, t0: Fraction) -> Loop:
+    """The fiber at t = t0; marked on the curve when ``loop`` is (see
+    ``check_on_curve``)."""
     y = None if loop.y is None else loop.y.specialize(t0)
-    return Loop(loop.curve, loop.x.specialize(t0), y)
+    return _loop(loop.curve, loop.x.specialize(t0), y, loop._certified)
 
 
 def classify_family(loop: Loop, t_values: Iterable[Fraction]) -> FamilyClassification:

@@ -10,7 +10,7 @@ component invariant (arc, or puncture plus pole order) off valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -77,15 +77,29 @@ class Curve:
 
 @dataclass(frozen=True)
 class Loop:
-    """A loop into the curve: coordinate series over one ring."""
+    """A loop into the curve: coordinate series over one ring.
+
+    ``Loop(curve, x, y)`` is unchecked; the constructors listed in
+    ``check_on_curve`` mark the loops that lie on the curve by
+    construction.  The mark takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     curve: Curve
     x: LaurentSeries
     y: LaurentSeries | None = None
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def ring(self) -> Ring:
         return self.x.ring
+
+
+def _loop(curve: Curve, x: LaurentSeries, y: LaurentSeries | None, certified: bool) -> Loop:
+    """``Loop(curve, x, y)``, marked as on the curve when ``certified``."""
+    loop = Loop(curve, x, y)
+    if certified:
+        object.__setattr__(loop, "_certified", True)
+    return loop
 
 
 @dataclass(frozen=True)
@@ -226,7 +240,29 @@ def make_curve(
 
 
 def check_on_curve(loop: Loop) -> bool:
-    """True iff the coordinates satisfy the curve up to the common precision."""
+    """True iff the coordinates satisfy the curve up to the common precision.
+
+    On a hyperelliptic curve, y^2 - h(x) must have no stored term below its
+    precision, and a precision of 0 or less raises ``InsufficientPrecision``.
+    A marked loop returns True at once; each marking constructor makes only
+    loops for which the check would return True without raising:
+
+    - ``lift_x``, when the precision of y^2 - h(x), min(prec h(x),
+      prec y + ord_min y) by the product rule, is exact or positive:
+      ``sqrt`` certifies y^2 = h(x) below exactly that precision.
+    - ``puncture_loop``: ``make_curve`` has checked every chart.
+    - ``point_loop``, through ``lift_x``.
+    - ``cover_loop`` of a marked loop: z -> z^n maps the check term by
+      term and scales its precision by n.
+    - ``components._specialize_loop`` of a marked loop: t -> t0 is a ring
+      homomorphism that keeps ``prec``, and ``ord_min`` can only rise, so
+      the fiber's check reaches at least the parent's precision.  A marked
+      loop over Q[t] comes from ``lift_x``, whose y has a nonzero rational
+      lowest term, so it reaches exactly that precision, below which the
+      fiber's y^2 - h(x) is the specialisation of the parent's zero.
+    """
+    if loop._certified:
+        return True
     curve = loop.curve
     if curve.kind == AFFINE_LINE:
         return True
@@ -296,8 +332,9 @@ def classify_loop(loop: Loop) -> ComponentClass:
         raise InconsistentPoleData(
             f"pole orders disagree: v(x)={vx}, v(y)={vy}, deg h={d}"
         )
-    w = y * (x ** (d // 2)).invert()
-    lead = w.coeff(0).as_fraction()
+    # w = y / x^(d/2) has valuation 0 and w_0 = lead(y) / lead(x)^(d/2),
+    # known below min(prec y - vy, prec x - vx) >= 1
+    lead = y.coeff(vy).as_fraction() / x.coeff(vx).as_fraction() ** (d // 2)
     if lead == 1:
         return ComponentClass.pole("infinity+", n)
     if lead == -1:
@@ -308,7 +345,7 @@ def classify_loop(loop: Loop) -> ComponentClass:
 def cover_loop(loop: Loop, n: int) -> Loop:
     """Precompose the loop with the degree-n cover of the punctured disc."""
     y = None if loop.y is None else loop.y.covering(n)
-    return Loop(loop.curve, loop.x.covering(n), y)
+    return _loop(loop.curve, loop.x.covering(n), y, loop._certified)
 
 
 def lift_x(curve: Curve, x: LaurentSeries, branch: int = 1, prec: int | None = None) -> Loop:
@@ -317,13 +354,17 @@ def lift_x(curve: Curve, x: LaurentSeries, branch: int = 1, prec: int | None = N
         raise ValueError("lift_x only applies to hyperelliptic curves")
     hx = eval_poly_at_series(curve.h, x)
     y = _series.sqrt(hx, prec=prec, branch=branch)
-    return Loop(curve, x, y)
+    # the precision check_on_curve would certify y^2 = h(x) to
+    bounds = [] if y.prec is None else [y.prec + y.ord_min()]
+    if hx.prec is not None:
+        bounds.append(hx.prec)
+    return _loop(curve, x, y, min(bounds, default=1) > 0)
 
 
 def puncture_loop(curve: Curve, label: str) -> Loop:
     """The order-1 local loop through a puncture (its chart expansions)."""
     chart = curve.puncture(label)
-    return Loop(curve, chart.x, chart.y)
+    return _loop(curve, chart.x, chart.y, True)
 
 
 def point_loop(curve: Curve, point: tuple[Fraction, ...], prec: int = DEFAULT_PREC) -> Loop:

@@ -32,7 +32,7 @@ from .errors import (
     VerificationFailed,
 )
 from .ring import Coeff, POLY
-from .series import LaurentSeries
+from .series import DEFAULT_PREC, LaurentSeries
 
 #: A place of the proper model: a puncture label, or an affine rational
 #: point given as (a,) on genus-0 curves and (a, b) on hyperelliptic ones.
@@ -174,11 +174,9 @@ def dlog_x(curve: Curve) -> MeromorphicForm:
     return MeromorphicForm.build(curve, XYPoly.const(1), XYPoly.x())
 
 
-def pullback(form: MeromorphicForm, loop: Loop) -> LaurentSeries:
-    """The coefficient series of the pulled-back form (num/den)(x,y) x' dz.
-
-    Raises ``LoopSpaceError`` when the loop does not lie on the curve.
-    """
+def _pulled_back(form: MeromorphicForm, loop: Loop, residue_only: bool) -> LaurentSeries:
+    """``pullback``; with ``residue_only``, 1/den is expanded only as far as
+    the coefficient of z^-1 needs."""
     if loop.curve != form.curve:
         raise ValueError("loop and form live on different curves")
     if not check_on_curve(loop):
@@ -189,11 +187,30 @@ def pullback(form: MeromorphicForm, loop: Loop) -> LaurentSeries:
             "denominator vanishes along the loop (to the stored precision)"
         )
     num = form.num.evaluate(loop)
-    return num * den.invert() * loop.x.derivative()
+    dx = loop.x.derivative()
+    v = den.ord_min()
+    w = DEFAULT_PREC if den.exact else den.prec - v  # the window of den.invert()
+    if residue_only and num.rows and dx.rows:
+        # 1/den known below -v + w leaves num / den * dx known below
+        # ord(num) + ord(dx) - v + w, which must be at least 0 for z^-1.
+        # Capped at the full window, so a residue that window cannot
+        # certify still raises.
+        w = min(w, max(1, v - num.ord_min() - dx.ord_min()))
+    inverse = den.invert(w) if den.exact else den.truncate(v + w).invert()
+    return num * inverse * dx
+
+
+def pullback(form: MeromorphicForm, loop: Loop) -> LaurentSeries:
+    """The coefficient series of the pulled-back form (num/den)(x,y) x' dz.
+
+    Raises ``LoopSpaceError`` when the loop does not lie on the curve.
+    """
+    return _pulled_back(form, loop, residue_only=False)
 
 
 def residue_along(form: MeromorphicForm, loop: Loop) -> Coeff:
-    return pullback(form, loop).residue()
+    """Coefficient of z^-1 in ``pullback(form, loop)``."""
+    return _pulled_back(form, loop, residue_only=True).residue()
 
 
 def place_loop(curve: Curve, place: Place) -> Loop:

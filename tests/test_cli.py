@@ -160,3 +160,42 @@ def test_shared_parser_keeps_answers_apart():
         assert run(["factor", "1 - z", "--prec", "1"]) == (
             0, "unit=1 order=0 neg={} pos={} (mod O(z^1))\n"
         )
+
+
+# A lift is marked on the curve only when y^2 - h(x) is certified to a
+# positive precision; below that the full check still raises.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(argv, id=" ".join(argv))
+        for argv in [
+            ["classify", "--curve", "hyp:h=x^3+1", "--x", "z^-2", "--prec", "1"],
+            ["classify", "--curve", "hyp:h=x^3+1", "--x", "z^-4+z^-1", "--prec", "6"],
+            ["classify", "--curve", "hyp:h=x^4-1", "--x", "z^-1+z", "--prec", "1"],
+            [
+                "residue", "--curve", "hyp:h=x^3+1", "--x", "z^-4+z^-1",
+                "--prec", "3", "--form", "1/x",
+            ],
+        ]
+    ],
+)
+def test_uncertified_lift_exits_1(argv):
+    assert run(argv) == (1, "error: curve equation not certifiable at this precision\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(argv, id=" ".join(argv))
+        for argv in [
+            ["family", "--curve", "hyp:h=x^3+1", "--x", "z^-2+t*z^-1", "--t", "0,1", "--prec", "2"],
+        ]
+    ],
+)
+def test_uncertified_family_lift_reports_each_fiber(argv):
+    assert run(argv) == (
+        0,
+        "t=0 error=curve equation not certifiable at this precision\n"
+        "t=1 error=curve equation not certifiable at this precision\n"
+        "jumps=none\n",
+    )

@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveloops.components import (
     QuotientClass,
+    _specialize_loop,
     classify_family,
     pi0_census,
     quotient_class,
 )
-from curveloops.curves import ComponentClass, Loop, lift_x, make_curve
+from curveloops.curves import ComponentClass, Loop, check_on_curve, cover_loop, lift_x, make_curve
+from curveloops.errors import LoopSpaceError
 from curveloops.ring import POLY, RATIONAL, Coeff
 from curveloops.series import LaurentSeries
 
@@ -72,3 +75,46 @@ def test_family_requires_poly_ring():
     x = LaurentSeries.build(RATIONAL, {1: 1})
     with pytest.raises(ValueError):
         classify_family(Loop(gm, x), (0, 1))
+
+
+# -- marked fibers against the full check ---------------------------------------------
+
+FIBER_TS = tuple(Fraction(t) for t in range(-3, 4)) + (Fraction(1, 2), Fraction(-1, 2))
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def poly_lifts(draw):
+    """A lift over Q[t] on x^3 + 1 or x^4 - 1: a pole at infinity, or on
+    x^3 + 1 an arc through (0, +-1) or (2, +-3); x is exact or known below
+    1 to 40 terms past its lowest exponent, the lift precision 1 to 40."""
+    odd = draw(st.booleans())
+    curve = make_curve("hyp", (1, 0, 0, 1) if odd else (-1, 0, 0, 0, 1))
+    c = draw(small.filter(bool))
+    if odd and draw(st.booleans()):
+        low, terms = 0, {0: Coeff.const(POLY, draw(st.sampled_from([0, 2]))), 1: Coeff.const(POLY, c)}
+    else:
+        low = -2 * draw(st.integers(1, 3)) if odd else -draw(st.integers(1, 3))
+        terms = {low: Coeff.const(POLY, c * c)}
+    for e in draw(st.sets(st.integers(low + 1, low + 12), max_size=4)):
+        terms.setdefault(e, Coeff.poly(draw(st.lists(small, max_size=3))))
+    precs = st.one_of(st.integers(1, 8), st.integers(1, 40))
+    x_prec = draw(st.one_of(st.none(), precs.map(lambda k: low + k)))
+    x = LaurentSeries.build(POLY, terms, x_prec)
+    try:
+        return lift_x(curve, x, branch=draw(st.sampled_from([1, -1])), prec=draw(precs))
+    except LoopSpaceError:
+        return None
+
+
+@given(poly_lifts(), st.sampled_from([1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_fibers_of_a_marked_loop_pass_the_full_check(loop, n):
+    if loop is None:
+        return  # no lift
+    loop = cover_loop(loop, n)
+    for t0 in FIBER_TS:
+        fiber = _specialize_loop(loop, t0)
+        assert fiber._certified == loop._certified
+        if fiber._certified:
+            assert check_on_curve(Loop(fiber.curve, fiber.x, fiber.y))

@@ -1,5 +1,8 @@
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveloops.curves import (
     ComponentClass,
@@ -15,11 +18,13 @@ from curveloops.curves import (
 from curveloops.errors import (
     DegreeTooSmall,
     InconsistentPoleData,
+    InsufficientPrecision,
+    LoopSpaceError,
     NotMonic,
     NotSquarefree,
     RingMismatch,
 )
-from curveloops.ring import POLY, RATIONAL
+from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries
 
 
@@ -164,3 +169,162 @@ def test_lift_x_branches_square_to_h():
         loop = lift_x(HYP3, x, branch=branch)
         assert check_on_curve(loop)
     assert lift_x(HYP3, x, branch=1).y == -lift_x(HYP3, x, branch=-1).y
+
+
+# -- the on-curve mark against the full check ---------------------------------------
+
+
+def full_check(loop):
+    """``check_on_curve`` of an unmarked copy: True, False, or None when
+    it raises ``InsufficientPrecision``."""
+    try:
+        return check_on_curve(Loop(loop.curve, loop.x, loop.y))
+    except InsufficientPrecision:
+        return None
+
+
+#: (curve, base points a with h(a) a nonzero square, rational roots of h)
+LIFT_CURVES = (
+    (HYP3, (0, 2), (-1,)),
+    (make_curve("hyp", (1, 0, 0, 0, 0, 1)), (0,), (-1,)),  # x^5 + 1
+    (HYP4, (), (1, -1)),
+    (make_curve("hyp", (1, 0, 0, 0, 1)), (0,), ()),  # x^4 + 1
+)
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def ring_coeff(draw, ring):
+    if ring == RATIONAL:
+        return Coeff.const(ring, draw(small))
+    if ring == POLY:
+        return Coeff.poly(draw(st.lists(small, max_size=3)))
+    return Coeff.nil(ring, draw(st.lists(small, min_size=ring.order, max_size=ring.order)))
+
+
+@st.composite
+def lift_inputs(draw, rings):
+    """(curve, x, branch, prec): x over one of ``rings`` with a pole at
+    infinity, an arc through a point with h(a) a nonzero square, or an arc
+    through a Weierstrass point (x - a of valuation 2), exact or known
+    below 1 to 40 terms past its lowest exponent."""
+    curve, bases, roots = draw(st.sampled_from(LIFT_CURVES))
+    ring = draw(st.sampled_from(rings))
+    shape = draw(st.sampled_from(["pole"] + ["arc"] * bool(bases) + ["weierstrass"] * bool(roots)))
+    c = draw(small.filter(bool))
+    low = 0
+    if shape == "pole":
+        n = draw(st.integers(1, 3))
+        low = -2 * n if curve.degree % 2 else -n
+        terms = {low: c * c}
+    elif shape == "arc":
+        terms = {0: draw(st.sampled_from(bases)), 1: c}
+    else:
+        a = draw(st.sampled_from(roots))
+        dh = sum(i * curve.h[i] * Fraction(a) ** (i - 1) for i in range(1, len(curve.h)))
+        terms = {0: a, 2: dh * c * c}  # h(x) starts h'(a)^2 c^2 z^2
+    for e in draw(st.sets(st.integers(low + 1, low + 12), max_size=4)):
+        if e not in terms:
+            terms[e] = ring_coeff(draw, ring)
+    # precisions near the least that certifies are drawn more often
+    precs = st.one_of(st.integers(1, 8), st.integers(1, 40))
+    x_prec = draw(st.one_of(st.none(), precs.map(lambda k: low + k)))
+    x = LaurentSeries.build(ring, terms, x_prec)
+    return curve, x, draw(st.sampled_from([1, -1])), draw(precs)
+
+
+# no lift over Q[eps]/eps^k gets past sqrt's rational leading coefficient,
+# so those rings are drawn less often
+LIFT_RINGS = (RATIONAL, RATIONAL, POLY, POLY, nilpotent_ring(2), nilpotent_ring(3))
+
+
+@given(lift_inputs(LIFT_RINGS))
+@settings(max_examples=200, deadline=None)
+def test_lift_is_marked_exactly_when_the_full_check_passes(args):
+    curve, x, branch, prec = args
+    try:
+        loop = lift_x(curve, x, branch=branch, prec=prec)
+    except LoopSpaceError:
+        return  # no lift, e.g. a leading coefficient that is no square
+    assert loop._certified == (full_check(loop) is True)
+    for n in (2, 3):
+        cover = cover_loop(loop, n)
+        assert cover._certified == loop._certified
+        if loop._certified:
+            assert full_check(cover) is True
+
+
+def test_the_mark_follows_the_precision_rule():
+    # y^2 - h(x) for x = z^-2 on x^3 + 1 is known below v(h(x)) + prec = -6 + prec
+    x = S({-2: 1})
+    for prec in (1, 6):
+        assert not lift_x(HYP3, x, prec=prec)._certified
+    assert lift_x(HYP3, x, prec=7)._certified
+    # an exact square is an exact lift, certified at any precision
+    assert lift_x(HYP3, S({0: 2}), prec=1).y.exact
+    assert lift_x(HYP3, S({0: 2}), prec=1)._certified
+
+
+def test_charts_and_point_loops_are_marked():
+    for curve in (A1, GM, HYP3, HYP4):
+        for chart in curve.punctures:
+            loop = puncture_loop(curve, chart.label)
+            assert loop._certified and full_check(loop) is True
+            assert cover_loop(loop, 3)._certified and full_check(cover_loop(loop, 3)) is True
+    for point in ((0, 1), (0, -1), (2, 3), (2, -3)):
+        loop = point_loop(HYP3, point)
+        assert loop._certified and full_check(loop) is True
+
+
+def test_hand_built_loops_stay_unmarked():
+    good = lift_x(HYP3, S({0: 2, 1: 1}))
+    copy = Loop(HYP3, good.x, good.y)
+    assert good._certified and not copy._certified
+    assert copy == good and hash(copy) == hash(good) and repr(copy) == repr(good)
+    assert not cover_loop(copy, 2)._certified
+
+
+# -- the branch read against the quotient it replaced ----------------------------------
+
+
+def old_branch_value(loop):
+    """The branch value as classify_loop computed it before: the z^0
+    coefficient of y / x^(d/2), through a whole-series inverse."""
+    d = loop.curve.degree
+    w = loop.y * (loop.x ** (d // 2)).invert()
+    return w.coeff(0).as_fraction()
+
+
+EVEN_CURVES = (HYP4, make_curve("hyp", (-1, 0, 0, 0, 0, 0, 1)))  # x^4 - 1, x^6 - 1
+
+
+@given(
+    st.sampled_from(EVEN_CURVES),
+    st.integers(1, 3),
+    st.sampled_from([1, -1]),
+    small.filter(bool),
+    st.lists(small, min_size=3, max_size=3),
+    st.one_of(st.none(), st.integers(1, 6)),
+    st.one_of(st.none(), st.integers(1, 6)),
+    st.sampled_from([1, 1, -1, 2, Fraction(-1, 3)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_branch_read_matches_the_old_quotient(curve, n, branch, c, tail, kx, ky, q):
+    """Lifts of x = c z^-n + ... with x and y cut down to kx and ky terms
+    past their lowest exponent, and y scaled by q, which gives a hand-built
+    loop with a wrong branch value unless q = +-1."""
+    x = S({-n: c, -n + 1: tail[0], -n + 2: tail[1], -n + 4: tail[2]})
+    if kx is not None:
+        x = x.truncate(-n + kx)
+    y = lift_x(curve, x, branch=branch).y
+    if ky is not None:
+        y = y.truncate(y.ord_min() + ky)
+    loop = Loop(curve, x, y.scale(q))
+    lead = old_branch_value(loop)
+    if lead in (1, -1):
+        label = "infinity+" if lead == 1 else "infinity-"
+        assert classify_loop(loop) == ComponentClass.pole(label, n)
+    else:
+        with pytest.raises(InconsistentPoleData) as err:
+            classify_loop(loop)
+        assert str(err.value) == f"branch value {lead} at infinity is not +-1"

@@ -1,10 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curveloops.curves import Loop, lift_x, make_curve, point_loop, puncture_loop
+from curveloops.curves import (
+    Loop,
+    check_on_curve,
+    lift_x,
+    make_curve,
+    point_loop,
+    puncture_loop,
+)
 from curveloops.errors import (
     FormSingularAlongLoop,
+    InsufficientPrecision,
     LoopSpaceError,
     UnsupportedPointPair,
 )
@@ -20,9 +29,10 @@ from curveloops.forms import (
     residue_sum,
     third_kind,
 )
-from curveloops.ring import POLY, RATIONAL, Coeff
+from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries
 
+A1 = make_curve("a1")
 GM = make_curve("gm")
 HYP3 = make_curve("hyp", (1, 0, 0, 1))
 HYP4 = make_curve("hyp", (-1, 0, 0, 0, 1))
@@ -149,3 +159,127 @@ def test_exact_rank():
     assert exact_rank([[1, 0], [0, 1], [1, 1]]) == 2
     assert exact_rank([[Fraction(1, 2)]]) == 1
     assert exact_rank([[0, 0]]) == 0
+
+
+# -- residue_along against the whole pullback ----------------------------------------
+
+
+def old_residue_along(form, loop):
+    """residue_along as it was: the full on-curve check, 1/den expanded to
+    the whole window of ``den.invert()``, then the z^-1 coefficient."""
+    if loop.curve != form.curve:
+        raise ValueError("loop and form live on different curves")
+    if not check_on_curve(Loop(loop.curve, loop.x, loop.y)):
+        raise LoopSpaceError("loop does not lie on the curve")
+    den = form.den.evaluate(loop)
+    if den.zero_to_prec():
+        raise FormSingularAlongLoop(
+            "denominator vanishes along the loop (to the stored precision)"
+        )
+    num = form.num.evaluate(loop)
+    return (num * den.invert() * loop.x.derivative()).residue()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+RESIDUE_RINGS = (RATIONAL, POLY, nilpotent_ring(2), nilpotent_ring(3), nilpotent_ring(4))
+
+
+def ring_coeff(draw, ring):
+    if ring == RATIONAL:
+        return Coeff.const(ring, draw(small))
+    if ring == POLY:
+        return Coeff.poly(draw(st.lists(small, max_size=3)))
+    return Coeff.nil(ring, draw(st.lists(small, min_size=ring.order, max_size=ring.order)))
+
+
+def rescaled(s, u):
+    """s(u z) for a unit u: the coefficient at z^e is multiplied by u^e."""
+    terms = []
+    for e, c in s.terms:
+        p = Coeff.one(s.ring)
+        for _ in range(abs(e)):
+            p = p * u
+        terms.append((e, c * (p if e >= 0 else p.invert())))
+    return LaurentSeries(s.ring, terms, s.prec)
+
+
+def embedded(s, ring):
+    return LaurentSeries(ring, [(e, Coeff.const(ring, c.as_fraction())) for e, c in s.terms], s.prec)
+
+
+@st.composite
+def residue_cases(draw):
+    """(form, loop).  Loops on the lines have x of valuation -3..13 over
+    any of the rings.  Hyperelliptic loops are lifts over Q or Q[t] of x with a
+    pole, or of an arc through (0, +-1) on x^3 + 1, exact or known below 1
+    to 12 terms past the lowest exponent; over Q[eps]/eps^k they are
+    rational lifts precomposed with z -> (1 + c eps) z.  One loop in ten
+    has y moved off the curve."""
+    curve = draw(st.sampled_from([A1, GM, HYP3, HYP4]))
+    ring = draw(st.sampled_from(RESIDUE_RINGS))
+    precs = st.one_of(st.none(), st.integers(1, 12))
+    c = draw(small.filter(bool))
+    if curve.kind != "hyp":
+        # a zero of order up to 13 makes 1/x^3 need more than DEFAULT_PREC terms
+        low = draw(st.one_of(st.integers(-3, 3), st.integers(4, 13)))
+        terms = {low: Coeff.const(ring, c)}
+        for e in draw(st.sets(st.integers(low + 1, low + 8), max_size=4)):
+            terms[e] = ring_coeff(draw, ring)
+        k = draw(precs)
+        loop = Loop(curve, LaurentSeries(ring, list(terms.items()), None if k is None else low + k))
+    else:
+        lift_ring = POLY if ring == POLY else RATIONAL
+        if curve is HYP3 and draw(st.booleans()):
+            low, terms = 0, {1: Coeff.const(lift_ring, c)}
+        else:
+            low = -2 * draw(st.integers(1, 3)) if curve is HYP3 else -draw(st.integers(1, 3))
+            terms = {low: Coeff.const(lift_ring, c * c)}
+        for e in draw(st.sets(st.integers(low + 1, low + 8), max_size=3)):
+            terms.setdefault(e, ring_coeff(draw, lift_ring))
+        k = draw(precs)
+        x = LaurentSeries(lift_ring, list(terms.items()), None if k is None else low + k)
+        loop = lift_x(curve, x, branch=draw(st.sampled_from([1, -1])), prec=draw(st.integers(1, 30)))
+        if ring.kind == "nilpotent":
+            u = Coeff.nil(ring, [1, draw(small)])
+            loop = Loop(curve, rescaled(embedded(loop.x, ring), u), rescaled(embedded(loop.y, ring), u))
+        if draw(st.integers(0, 9)) == 0:
+            loop = Loop(curve, loop.x, loop.y + LaurentSeries.one(ring))
+    X, Y, one = XYPoly.x(), XYPoly.y(), XYPoly.const(1)
+    a = XYPoly.const(draw(st.sampled_from([0, 1, 2, -1])))
+    nums = [one, X, X * X + one, X - a]
+    dens = [X, X - a, (X - a) * (X - a), X * X * X]
+    if curve.kind == "hyp":
+        nums += [Y, Y + X.scale(3), X * Y]
+        dens += [Y, Y * (X - a), Y.scale(2) * (X - a)]
+    num, den = draw(st.sampled_from(nums)), draw(st.sampled_from(dens))
+    if den.reduce(curve.h).is_zero():
+        den = one
+    return MeromorphicForm.build(curve, num, den), loop
+
+
+@given(residue_cases())
+@settings(max_examples=300, deadline=None)
+def test_residue_along_matches_the_whole_pullback(case):
+    form, loop = case
+    assert outcome(residue_along, form, loop) == outcome(old_residue_along, form, loop)
+
+
+def test_residue_window_is_capped_at_the_full_window():
+    # 1/x^3 along x = z^12 + z^13 needs 25 terms for z^-1 of dx/x^3; the
+    # whole pullback expands DEFAULT_PREC = 24, so both raise
+    form = MeromorphicForm.build(GM, XYPoly.const(1), XYPoly.x(3))
+    loop = Loop(GM, S({12: 1, 13: 1}))
+    expected = (InsufficientPrecision, "coefficient at z^-1 is not certified")
+    assert outcome(old_residue_along, form, loop) == expected
+    assert outcome(residue_along, form, loop) == expected
+    # 23 terms needed: both read the residue, 0 as dx/x^3 = d(-1/(2x^2))
+    loop = Loop(GM, S({11: 1, 12: 1}))
+    assert outcome(residue_along, form, loop) == outcome(old_residue_along, form, loop)
+    assert residue_along(form, loop).as_fraction() == 0

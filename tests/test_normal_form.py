@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from curveloops.errors import InsufficientPrecision, NotInvertible
 from curveloops.normal_form import NormalForm, factor, order_of, reconstruct
@@ -218,7 +218,12 @@ def factored_series(draw):
     if ring == NIL3 and draw(st.booleans()):
         terms[v - 1] = nil3(0, draw(fractions), draw(fractions))
     prec = draw(st.one_of(st.none(), st.integers(v + 1, v + 14)))
-    nf = factor(LaurentSeries.build(ring, terms, prec), prec=draw(st.integers(1, 12)))
+    try:
+        nf = factor(LaurentSeries.build(ring, terms, prec), prec=draw(st.integers(1, 12)))
+    except InsufficientPrecision:
+        # e.g. eps^2 z^-1 + 1 + O(z): too short to certify the constant
+        # term after the negative factors, so there is no form to rebuild
+        reject()
     return nf, draw(st.one_of(st.none(), st.integers(v - 6, v + 16)))
 
 
