@@ -257,10 +257,14 @@ def _gm_place_value(place: Place) -> Fraction | None:
         if place == "infinity":
             return None
         raise UnsupportedPointPair(f"unknown place {place!r}")
+    if len(place) != 1:
+        raise UnsupportedPointPair(f"a point of the line has one coordinate, got {len(place)}")
     return Fraction(place[0])
 
 
 def _hyp_point(curve: Curve, place: tuple) -> tuple[Fraction, Fraction]:
+    if len(place) != 2:
+        raise UnsupportedPointPair(f"a point of this curve has two coordinates, got {len(place)}")
     a, b = Fraction(place[0]), Fraction(place[1])
     from .ring import poly_eval
 

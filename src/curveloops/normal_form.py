@@ -8,19 +8,23 @@ with u a unit of A, the finitely many a_i nilpotent, and the b_j arbitrary.
 Over a field the negative product is empty and v is the valuation.
 
 ``factor`` computes the data, ``reconstruct`` expands it back, ``order_of``
-reads off v.  The peeling order (valuation first, then negative factors
-from the most negative exponent up, then unit and positive factors in
-increasing degree) terminates because each negative correction lands in a
-strictly higher power of the nilradical.
+reads off v.  The negative factors are peeled from the most negative
+exponent up, which terminates because each correction lands in a strictly
+higher power of the nilradical.  What is left, divided by its constant u,
+is p = prod_j (1 - b_j z^j), and the b_j are the Witt coordinates of the
+ghost series z p'/p (Hazewinkel, "Witt vectors. Part 1", arXiv:0804.3888):
+its coefficient at z^n is -sum_{d | n} d b_d^(n/d), so one dlog and a
+divisor sieve give every b_j below the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from fractions import Fraction
+from heapq import nlargest
 
 from .errors import InsufficientPrecision, NotInvertible
-from .ring import Coeff, Ring, packed_mul
+from .ring import Coeff, Ring
 from .series import LaurentSeries, resolve_prec
 
 _MAX_PEEL_ROUNDS = 200
@@ -59,51 +63,6 @@ def _neg_factor_inverse(ring: Ring, i: int, a: Coeff) -> LaurentSeries:
         power = power * a
         m += 1
     return LaurentSeries.build(ring, terms)
-
-
-def _divide_one_minus(p: LaurentSeries, j: int, b: Coeff, window: int) -> LaurentSeries:
-    """Divide a valuation-0 series by (1 - b z^j).
-
-    Quotient coefficients satisfy q_m = p_m + b q_{m-j}.  When ``p`` is an
-    exact polynomial and the quotient shows j consecutive zero coefficients
-    past deg(p), the recurrence forces all later ones to vanish, so the
-    quotient is certified exact.  An exact quotient has degree at most
-    deg(p) - j when b is not nilpotent, hence no zero divisor, and at most
-    deg(p) + (k-1) j when b is nilpotent, as it is then
-    p * sum_{m<k} (b z^j)^m over Q[eps]/eps^k.  So an exact p is expanded
-    below max(deg(p), window) + k j + 1, with k = 1 unless b is nilpotent.
-
-    The recurrence runs on integer rows.  With p = P / D and b = B / E,
-    level L (exponents Lj <= m < (L+1)j) of the quotient is Q_m / (D E^L)
-    with Q_m = E^L P_m + B Q_{m-j}, one packed product per level.
-    """
-    ring = p.ring
-    deg = p.rows[-1][0] if p.rows else 0
-    reach = ring.order if b.is_nilpotent() else 1
-    limit = max(deg, window) + reach * j + 1 if p.exact else p.prec
-    bden, brow = b.den, b.payload
-    given = dict(p.rows)
-    q: list = []
-    scale = 1  # E^L
-    for start in range(0, limit, j):
-        count = min(j, limit - start)
-        level = [[v * scale for v in given.get(m, ())] for m in range(start, start + count)]
-        below = [(i, q[start - j + i]) for i in range(count) if start and any(q[start - j + i])]
-        if below:
-            carried = packed_mul([(0, brow)], below, count, ring.order)
-            level = [[x + y for x, y in zip_longest(a, c, fillvalue=0)]
-                     for a, c in zip(level, carried)]
-        q.extend(level)
-        scale *= bden
-    top = (limit - 1) // j
-    prec = limit
-    if p.exact:
-        # limit - j > deg(p): the last j coefficients lie past deg(p)
-        prec = window if any(any(row) for row in q[limit - j:]) else None
-        q = q if prec is None else q[:window]
-    powers = [bden ** (top - k) for k in range(top + 1)]
-    rows = [(m, [v * powers[m // j] for v in row]) for m, row in enumerate(q)]
-    return LaurentSeries.from_rows(ring, p.den * bden**top, rows, prec)
 
 
 def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
@@ -150,35 +109,69 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
     unit = r.coeff(0)
     p = r.scale(unit.invert())
 
-    # positive part: read off degrees in increasing order
-    pos: dict[int, Coeff] = {}
-    exact = False
-    j = 1
-    while True:
-        if p.exact and p == LaurentSeries.one(ring):
-            exact = True
-            break
-        limit = window if p.exact else p.prec
-        if j >= limit:
-            break
-        b = -p.coeff(j)
-        if not b.is_zero():
-            pos[j] = b
-            p = _divide_one_minus(p, j, b, window)
-        j += 1
-
-    if exact:
+    limit = window if p.exact else p.prec
+    pos = _witt_coordinates(p, limit)
+    if p.exact and _is_product(p, pos):
         nf_prec = None
     else:
-        # Positive-part degrees >= j are missing; through the negative
-        # factors they can disturb exponents as low as v + j - sum(i).
-        span = sum(neg)
-        nf_prec = v + j - span
+        # Positive-part degrees >= limit are missing; through the negative
+        # factors they can disturb exponents as low as v + limit - sum(i).
+        nf_prec = v + limit - sum(neg)
         if alpha.prec is not None:
             nf_prec = min(alpha.prec, nf_prec)
-    return NormalForm(
-        ring, unit, v, tuple(sorted(neg.items())), tuple(sorted(pos.items())), nf_prec
-    )
+    return NormalForm(ring, unit, v, tuple(sorted(neg.items())), pos, nf_prec)
+
+
+def _witt_coordinates(p: LaurentSeries, limit: int) -> tuple[tuple[int, Coeff], ...]:
+    """The nonzero b_j, j < ``limit``, with p = prod_j (1 - b_j z^j) mod z^limit.
+
+    p has constant term 1.  Its ghost series w = z p'/p is needed only
+    below z^limit, so p is cut there and read as a polynomial (a p with
+    nothing but its constant there inverts in one step).  Then
+    n b_n = -w_n - sum_{d | n, d < n} d b_d^(n/d); every supported ring is
+    a Q-algebra, so the division by n is allowed.  Slot n starts at w_n;
+    once b_d is known, d b_d^m is added to slot d m, and the powers stop
+    at the first zero one.
+    """
+    head = p.truncate(limit)
+    head = LaurentSeries.from_rows(p.ring, head.den, head.rows, None)
+    sums = dict(head.dlog(limit).shift(1).truncate(limit).terms)
+    pos = []
+    for n in range(1, limit):
+        c = sums.get(n)
+        if c is None or c.is_zero():
+            continue
+        b = c.scale(Fraction(-1, n))
+        pos.append((n, b))
+        power = b
+        for m in range(2 * n, limit, n):
+            power = power * b
+            if power.is_zero():
+                break
+            term = power.scale(n)
+            sums[m] = sums[m] + term if m in sums else term
+    return tuple(pos)
+
+
+def _is_product(p: LaurentSeries, pos: tuple[tuple[int, Coeff], ...]) -> bool:
+    """Whether the exact p equals prod_j (1 - b_j z^j) over ``pos``.
+
+    Mod the nilradical the product has degree units = sum of the j with b_j
+    not nilpotent, so it can equal p only when units <= deg p.  It has
+    degree at most units plus the k - 1 largest j with b_j nilpotent, since
+    a product of k nilpotents vanishes over Q[eps]/eps^k (over Q and Q[t]
+    there are none).  Below one past both degrees the truncating product
+    of ``reconstruct`` decides it.
+    """
+    ring = p.ring
+    deg = p.rows[-1][0]
+    units = sum([j for j, b in pos if not b.is_nilpotent()])
+    if units > deg:
+        return False
+    nil = [j for j, b in pos if b.is_nilpotent()]
+    cut = max(deg, units + sum(nlargest((ring.order or 1) - 1, nil))) + 1
+    one = Coeff.one(ring)
+    return reconstruct(NormalForm(ring, one, 0, (), pos), prec=cut) == p.truncate(cut)
 
 
 def reconstruct(nf: NormalForm, prec: int | None = None) -> LaurentSeries:

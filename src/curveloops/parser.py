@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .curves import Curve, make_curve
-from .errors import ParseError
+from .errors import ParseError, RingMismatch
 from .forms import XYPoly
 from .normal_form import NormalForm
 from .ring import (
@@ -80,9 +80,10 @@ class _SeriesAlgebra:
         if name == "z":
             return LaurentSeries.monomial(self.ring, 1)
         if name == "eps":
-            if self.ring.kind != "nilpotent":
-                raise ParseError(f"eps does not live in the ring {self.ring}", pos)
-            return LaurentSeries.constant(self.ring, Coeff.eps(self.ring))
+            try:
+                return LaurentSeries.constant(self.ring, Coeff.eps(self.ring))
+            except RingMismatch:
+                raise ParseError(f"eps does not live in the ring {self.ring}", pos) from None
         if name == "t":
             if self.ring != POLY:
                 raise ParseError(f"t does not live in the ring {self.ring}", pos)
@@ -320,14 +321,12 @@ def parse_place(text: str):
     text = text.strip()
     if text in _PUNCTURES:
         return text
-    if text.startswith("("):
-        if not text.endswith(")"):
-            raise ParseError("unclosed point", len(text))
-        coords = text[1:-1].split(",")
-        return tuple(Fraction(c.strip()) for c in coords)
+    if text.startswith("(") and not text.endswith(")"):
+        raise ParseError("unclosed point", len(text))
+    coords = text[1:-1].split(",") if text.startswith("(") else [text]
     try:
-        return (Fraction(text),)
-    except ValueError:
+        return tuple([Fraction(c.strip()) for c in coords])
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse place {text!r}", 0) from None
 
 

@@ -199,3 +199,45 @@ def test_uncertified_family_lift_reports_each_fiber(argv):
         "t=1 error=curve equation not certifiable at this precision\n"
         "jumps=none\n",
     )
+
+
+@pytest.mark.parametrize(
+    "argv,code,text",
+    [
+        pytest.param(argv, code, text, id=" ".join(argv))
+        for argv, code, text in [
+            (
+                ["thirdkind", "--curve", "gm", "--p", "1/0", "--q", "infinity"],
+                2,
+                "parse error: cannot parse place '1/0' (at position 0)\n",
+            ),
+            (
+                ["thirdkind", "--curve", "gm", "--p", "(a,b)", "--q", "infinity"],
+                2,
+                "parse error: cannot parse place '(a,b)' (at position 0)\n",
+            ),
+            (
+                ["thirdkind", "--curve", "gm", "--p", "()", "--q", "infinity"],
+                2,
+                "parse error: cannot parse place '()' (at position 0)\n",
+            ),
+            (
+                ["thirdkind", "--curve", "hyp:h=x^3+1", "--p", "(0)", "--q", "infinity"],
+                1,
+                "error: a point of this curve has two coordinates, got 1\n",
+            ),
+            (
+                ["thirdkind", "--curve", "gm", "--p", "(1,2)", "--q", "infinity"],
+                1,
+                "error: a point of the line has one coordinate, got 2\n",
+            ),
+            (
+                ["thirdkind", "--curve", "hyp:h=x^3+1", "--p", "(0,1,5)", "--q", "infinity"],
+                1,
+                "error: a point of this curve has two coordinates, got 3\n",
+            ),
+        ]
+    ],
+)
+def test_malformed_place_is_rejected(argv, code, text):
+    assert run(argv) == (code, text)

@@ -57,6 +57,14 @@ def test_parse_eps_and_t():
         parse_series("eps + t")
 
 
+@pytest.mark.parametrize("ring", [RATIONAL, POLY], ids=str)
+def test_eps_outside_a_nilpotent_ring(ring):
+    with pytest.raises(ParseError) as info:
+        parse_series("1 + 2*eps*z", ring)
+    assert str(info.value) == f"eps does not live in the ring {ring} (at position 6)"
+    assert info.value.position == 6
+
+
 def test_infer_ring():
     assert infer_ring("z + 1") == RATIONAL
     assert infer_ring("eps^2*z") == nilpotent_ring(3)
