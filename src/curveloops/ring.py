@@ -69,6 +69,12 @@ class Ring:
             return f"nilpotent:{self.order}"
         return self.kind
 
+    @property
+    def has_nilpotents(self) -> bool:
+        """Whether the ring has nonzero nilpotents (Q[eps]/eps^k); Q and
+        Q[t] are integral domains."""
+        return self.kind == NILPOTENT_KIND
+
 
 RATIONAL = Ring(RATIONAL_KIND)
 POLY = Ring(POLY_KIND)
@@ -340,10 +346,12 @@ class Coeff:
         return _reduced(RATIONAL, self.den * (qpow // q), (acc,))
 
     def as_fraction(self) -> Fraction:
-        """The value of a rational (or constant) coefficient."""
+        """The value of a rational (or constant) coefficient: over
+        Q[eps]/eps^k the eps part must vanish."""
         if self.ring.kind == NILPOTENT_KIND:
-            raise RingMismatch("nilpotent coefficient is not a plain fraction")
-        if len(self.payload) > 1:
+            if any(self.payload[1:]):
+                raise RingMismatch("nilpotent coefficient is not a plain fraction")
+        elif len(self.payload) > 1:
             raise RingMismatch("non-constant polynomial coefficient")
         return Fraction(self.payload[0], self.den) if self.payload else Fraction(0)
 

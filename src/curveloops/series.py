@@ -270,10 +270,18 @@ class LaurentSeries:
         )
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
+        """The series times the constant ``c``.  A ``Coeff`` multiplies
+        every payload in one kernel call, the rows laid out one after the
+        other whatever their exponents."""
         if isinstance(c, Coeff):
-            if c.is_zero():
+            if c.ring != self.ring:
+                raise RingMismatch("scale by a coefficient from a different ring")
+            if c.is_zero() or not self.rows:
                 return _raw(self.ring, 1, (), self.prec)
-            return self * LaurentSeries.constant(self.ring, c)
+            a = [(i, p) for i, (_, p) in enumerate(self.rows)]
+            products = packed_mul(a, [(0, c.payload)], len(a), self.ring.order)
+            rows = [(e, row) for (e, _), row in zip(self.rows, products)]
+            return LaurentSeries.from_rows(self.ring, self.den * c.den, rows, self.prec)
         q = Fraction(c)
         if not q:
             return _raw(self.ring, 1, (), self.prec)
@@ -460,14 +468,19 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     s <- s + r (g - s^2) / 2 mod z^k, and then takes one Newton inverse
     step for r against the new s (skipped in the last round).
 
-    Exactness is certified by degree.  The candidate c (the computed
-    terms, read as a Laurent polynomial) satisfies c^2 = f mod z^(v+rel)
-    by construction.  The leading coefficient passed ``as_fraction``, so
-    the ring is Q or Q[t], an integral domain, and deg(c^2) = 2 deg c.
-    Hence 2 deg c != deg f means c^2 != f; 2 deg c = deg f < v + rel means
-    c^2 = f, as both sides then agree in every exponent.  Only when
+    The leading coefficient must be a rational square: over Q[eps]/eps^k
+    its eps part must vanish.  Newton's steps need only 2 lead to be a
+    unit, so they run over every supported ring.
+
+    The candidate c (the computed terms, read as a Laurent polynomial)
+    satisfies c^2 = f mod z^(v+rel) by construction.  Over Q and Q[t], an
+    integral domain, deg(c^2) = 2 deg c and exactness is certified by
+    degree: 2 deg c != deg f means c^2 != f; 2 deg c = deg f < v + rel
+    means c^2 = f, as both sides then agree in every exponent.  Only when
     2 deg c = deg f >= v + rel, as for (1 + z^15)^2 at rel 24, is c^2
-    computed and compared with f.
+    computed and compared with f.  Over a ring with nilpotents the degree
+    tells nothing, as (1 + eps z)^2 = 1 + 2 eps z over eps^2, so an exact
+    f is always squared back.
     """
     window = resolve_prec(prec)
     if not f.rows:
@@ -497,9 +510,12 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         if k < rel:
             r = _inverse_step(r, s, k)
     result = s.shift(v // 2).truncate(v // 2 + rel)
-    if not f.exact or 2 * result.rows[-1][0] != f.rows[-1][0]:
+    if not f.exact:
         return result
     candidate = _as_polynomial(result)
-    if f.rows[-1][0] < v + rel or candidate * candidate == f:
-        return candidate
-    return result
+    if not f.ring.has_nilpotents:
+        if 2 * result.rows[-1][0] != f.rows[-1][0]:
+            return result
+        if f.rows[-1][0] < v + rel:
+            return candidate
+    return candidate if candidate * candidate == f else result

@@ -135,11 +135,42 @@ def test_prec_1_is_accepted():
                 "error: constant term not certified after the negative factors"
                 " (need O(z^1), have O(z^0))\n",
             ),
+            (
+                ["covers", "--genus", "2", "--symmetric", "5"],
+                "error: 207360000 assignments exceed the enumeration bound\n",
+            ),
+            (
+                ["residue", "--curve", "hyp:h=x^3+1", "--x", "2 + eps + z",
+                 "--ring", "nilpotent:2", "--form", "1/x"],
+                "error: leading coefficient is not a plain rational\n",
+            ),
         ]
     ],
 )
 def test_domain_argv_exits_1(argv, text):
     assert run(argv) == (1, text)
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        pytest.param(argv, text, id=" ".join(argv))
+        for argv, text in [
+            (["covers", "--genus", "1000000", "--symmetric", "1"], "free=1\nsurface=1\n"),
+            (
+                ["factor", "1 + z + z^100000"],
+                "unit=1 order=0 neg={} pos={1: -1} (mod O(z^24))\n",
+            ),
+            (
+                ["residue", "--curve", "hyp:h=x^3+1", "--x", "2 + z",
+                 "--ring", "nilpotent:2", "--form", "1/x"],
+                "residue=0\n",
+            ),
+        ]
+    ],
+)
+def test_argv_answers(argv, text):
+    assert run(argv) == (0, text)
 
 
 def test_parser_is_built_once():

@@ -1,6 +1,11 @@
+from functools import cache
+from itertools import permutations, product
+from math import factorial, prod
+
 import pytest
 
 from curveloops.covers import (
+    ENUMERATION_LIMIT,
     GeneratorAssignment,
     Perm,
     commutator,
@@ -67,6 +72,96 @@ def test_conjugacy_class_counts():
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         count_homs(2, 5)
+
+
+# -- count_homs against the enumeration it replaced and against Mednykh ----------------
+
+# each (g, n) is counted once per session: (1, 6) alone takes most of a second
+counted = cache(count_homs)
+
+
+def enumerated_homs(genus, n):
+    """(surface, free) by running through every 2g-tuple of permutations."""
+    perms = [Perm(p) for p in permutations(range(1, n + 1))]
+    surface = free = 0
+    for images in product(perms, repeat=2 * genus):
+        free += 1
+        if surface_relation(GeneratorAssignment(genus, images)).is_identity():
+            surface += 1
+    return surface, free
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def irreducible_degrees(n):
+    """Degrees of the irreducible characters of S_n, by the hook-length formula."""
+    degrees = []
+    for shape in partitions(n):
+        columns = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+        hooks = prod(
+            (row - j) + (columns[j] - i) - 1 for i, row in enumerate(shape) for j in range(row)
+        )
+        degrees.append(factorial(n) // hooks)
+    return degrees
+
+
+def mednykh(genus, n):
+    """|Hom(closed genus-g surface group, S_n)| = |G| sum_chi (|G| / chi(1))^(2g - 2)."""
+    order = factorial(n)
+    return order * sum((order // d) ** (2 * genus - 2) for d in irreducible_degrees(n))
+
+
+ADMITTED = [
+    (g, n)
+    for n in range(7)
+    for g in range(1, 13)
+    if factorial(n) ** (2 * g) <= ENUMERATION_LIMIT
+]
+
+
+def test_hook_lengths_give_the_group_order():
+    for n in range(8):
+        assert sum(d * d for d in irreducible_degrees(n)) == factorial(n)
+    assert sorted(irreducible_degrees(4)) == [1, 1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("genus,n", ADMITTED)
+def test_count_homs_matches_mednykh(genus, n):
+    assert counted(genus, n) == (mednykh(genus, n), factorial(n) ** (2 * genus))
+
+
+@pytest.mark.parametrize(
+    "genus,n", [(g, n) for g, n in ADMITTED if factorial(n) ** (2 * g) <= 1296]
+)
+def test_count_homs_matches_enumeration(genus, n):
+    assert counted(genus, n) == enumerated_homs(genus, n)
+
+
+def test_count_homs_pinned_values():
+    assert counted(1, 6) == (7920, 518400)
+    assert counted(3, 3) == (16038, 46656)
+    assert count_homs(10**6, 1) == (1, 1)
+    assert count_homs(10**9, 0) == (1, 1)
+
+
+@pytest.mark.parametrize("genus,n", [(10, 2), (4, 3), (2, 4), (1, 5), (1, 6)])
+def test_enumeration_bound_admits(genus, n):
+    assert counted(genus, n)[1] == factorial(n) ** (2 * genus) <= ENUMERATION_LIMIT
+
+
+@pytest.mark.parametrize("genus,n", [(11, 2), (5, 3), (3, 4), (2, 5), (1, 7)])
+def test_enumeration_bound_raises(genus, n):
+    free = factorial(n) ** (2 * genus)
+    with pytest.raises(TooLarge, match=f"^{free} assignments exceed the enumeration bound$"):
+        count_homs(genus, n)
 
 
 def test_witness_nonextendable():

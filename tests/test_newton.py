@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curveloops.errors import NoRationalSquareRoot
 from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import DEFAULT_PREC, LaurentSeries, sqrt
 
@@ -169,6 +170,53 @@ def test_inexact_input_keeps_its_window():
     inv, root = f.invert(), sqrt(f)
     assert (inv.prec, root.prec) == (11, 5)
     assert inv == recurrence_invert(f) and root == recurrence_sqrt(f)
+
+
+# -- sqrt over Q[eps]/eps^k: no degree certificate, so every answer squares back -------
+
+NIL_RINGS = (nilpotent_ring(2), nilpotent_ring(3), nilpotent_ring(4))
+
+
+@pytest.mark.parametrize("ring", NIL_RINGS, ids=str)
+@pytest.mark.parametrize("branch", (1, -1))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sqrt_over_nilpotent_squares_back(ring, branch, data):
+    f, prec = data.draw(square_led(ring))
+    root = sqrt(f, prec=prec, branch=branch)
+    square = root * root
+    assert square == f.truncate(square.prec)
+    assert root == recurrence_sqrt(f, prec, branch)
+
+
+@pytest.mark.parametrize("ring", NIL_RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sqrt_over_nilpotent_recovers_exact_roots(ring, data):
+    """c^2 for c with a rational lead: the root with that lead is c, exact
+    when the window reaches deg c and cut to the window otherwise."""
+    c, prec = data.draw(square_led(ring))
+    c = LaurentSeries(ring, c.terms, None)
+    v, top = c.terms[0][0], c.terms[-1][0]
+    want = c if top < v + prec else c.truncate(v + prec)
+    assert sqrt(c * c, prec=prec) == want
+    assert sqrt(c * c, prec=prec, branch=-1) == -want
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_sqrt_of_one_plus_eps_z_squared_is_exact(k):
+    ring = nilpotent_ring(k)
+    c = LaurentSeries.build(ring, {0: 1, 1: Coeff.eps(ring)})
+    f = c * c  # 1 + 2 eps z + eps^2 z^2: degree 1 over eps^2 though deg c = 1
+    assert f.terms[-1][0] == (1 if k == 2 else 2)
+    assert sqrt(f) == c
+    assert sqrt(f, prec=1) == c.truncate(1)
+
+
+def test_sqrt_lead_with_an_eps_part_is_rejected():
+    ring = nilpotent_ring(2)
+    with pytest.raises(NoRationalSquareRoot, match="not a plain rational"):
+        sqrt(LaurentSeries.build(ring, {0: Coeff.nil(ring, [9, 1]), 1: 1}))
 
 
 # -- sympy's ring series as an independent oracle -----------------------------------

@@ -207,6 +207,29 @@ def test_series_square_matches_schoolbook(ring, data):
     assert f * f == schoolbook_series(f, f)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@given(data=st.data())
+@settings(max_examples=80)
+def test_scale_by_coeff_matches_the_constant_product(ring, data):
+    s = data.draw(series(ring))
+    c = data.draw(ring_and_coeff(ring))
+    if c.is_zero():
+        # scaling by zero keeps the precision; the product with the exact
+        # zero series is exact
+        assert s.scale(c) == LaurentSeries.build(ring, {}, s.prec)
+    else:
+        assert s.scale(c) == s * LaurentSeries.constant(ring, c)
+
+
+def test_scale_by_coeff_over_a_wide_gap():
+    ring = nilpotent_ring(2)
+    s = LaurentSeries.build(ring, {-3: 1, 10**6: Coeff.eps(ring)}, 10**6 + 5)
+    c = Coeff.nil(ring, [2, 1])
+    assert s.scale(c).as_dict() == {-3: c, 10**6: Coeff.eps(ring, value=2)}
+    assert s.scale(c).prec == 10**6 + 5
+    assert s.scale(Coeff.eps(ring)) == LaurentSeries.build(ring, {-3: Coeff.eps(ring)}, 10**6 + 5)
+
+
 def test_series_mul_sparse_and_empty_inexact():
     one_plus = LaurentSeries.build(RATIONAL, {0: 1, 180: 1})
     assert one_plus * one_plus == LaurentSeries.build(RATIONAL, {0: 1, 180: 2, 360: 1})
