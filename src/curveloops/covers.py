@@ -27,6 +27,10 @@ from .errors import SizeMismatch, TooLarge
 #: Hard cap on enumerated generator assignments.
 ENUMERATION_LIMIT = 2_000_000
 
+#: Most digits of a count printed in full: CPython's default limit for
+#: int-to-str conversion, fixed here so every interpreter prints the same.
+PRINTED_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class Perm:
@@ -131,9 +135,12 @@ def count_homs(genus: int, n: int) -> tuple[int, int]:
     """
     if genus < 1:
         raise ValueError("genus must be positive")
-    free_count = factorial(n) ** (2 * genus)
+    base = factorial(n)
+    # capped at 2^21 > ENUMERATION_LIMIT: past the cap the power exceeds
+    # the limit for any base >= 2, and the full power is never built
+    free_count = base ** min(2 * genus, ENUMERATION_LIMIT.bit_length())
     if free_count > ENUMERATION_LIMIT:
-        raise TooLarge(f"{free_count} assignments exceed the enumeration bound")
+        raise TooLarge(f"{_power_text(base, 2 * genus)} assignments exceed the enumeration bound")
     perms = list(permutations(range(n)))  # perms[0] is the identity
     index = {p: i for i, p in enumerate(perms)}
     # mul[i][j] is the index of perms[i] after perms[j]
@@ -153,6 +160,17 @@ def count_homs(genus: int, n: int) -> tuple[int, int]:
         if genus:
             histogram = _convolve(histogram, histogram, mul)
     return power.get(0, 0), free_count
+
+
+def _power_text(base: int, exponent: int) -> str:
+    """base^exponent in decimal, or as ``<base>^<exponent>`` when it has
+    more than ``PRINTED_DIGITS`` digits."""
+    # 10/3 > log2(10): past this bound base^exponent >= 10^PRINTED_DIGITS
+    if (base.bit_length() - 1) * exponent <= PRINTED_DIGITS * 10 // 3:
+        power = base**exponent
+        if power < 10**PRINTED_DIGITS:
+            return str(power)
+    return f"{base}^{exponent}"
 
 
 def _convolve(f: dict, g: dict, mul: list) -> dict:

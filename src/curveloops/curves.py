@@ -3,15 +3,17 @@
 Supported curves: the affine line, the punctured line (multiplicative
 group), and hyperelliptic curves y^2 = h(x) with h monic, squarefree, of
 degree >= 3.  Each curve carries explicit Laurent expansions of its
-coordinates around every puncture of the proper model; loops are coordinate
-series satisfying the defining equation, and classification reads the
-component invariant (arc, or puncture plus pole order) off valuations.
+coordinates around every puncture of the proper model, expanded when first
+read; loops are coordinate series satisfying the defining equation, and
+classification reads the component invariant (arc, or puncture plus pole
+order) off valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import series as _series
@@ -25,7 +27,7 @@ from .errors import (
     ZeroSeries,
 )
 from .ring import RATIONAL, Ring
-from .series import DEFAULT_PREC, LaurentSeries
+from .series import DEFAULT_PREC, LaurentSeries, resolve_prec
 
 AFFINE_LINE = "a1"
 MULTIPLICATIVE = "gm"
@@ -42,12 +44,35 @@ class PunctureChart:
 
     ``x_pole_order`` is the ramification constant: the pole order of the
     affine coordinate x along an order-1 loop through this puncture.
+
+    On a hyperelliptic curve ``y`` is sign * u^(-e) * sqrt(w(u)), with
+    w = u^(2e) h(x(u)) and e = d (odd d) or d/2 (even d).  It is expanded
+    and checked against y^2 = h(x) on its first read and kept on the
+    chart; ``h``, ``sign`` and ``prec`` say what to expand, and ``y`` takes
+    no part in ``==``, ``hash`` or ``repr``.  On a1 and gm ``y`` is None.
     """
 
     label: str
     x: LaurentSeries
-    y: LaurentSeries | None
     x_pole_order: int
+    h: tuple[Fraction, ...] = field(default=(), repr=False)
+    sign: int = field(default=1, repr=False)
+    prec: int = field(default=DEFAULT_PREC, repr=False)
+
+    @cached_property
+    def y(self) -> LaurentSeries | None:
+        if not self.h:
+            return None
+        d = len(self.h) - 1
+        e = d if d % 2 else d // 2
+        # w = 1 + a_{d-1} u^k + ... + a_0 u^(dk), k = x_pole_order
+        k = self.x_pole_order
+        w = LaurentSeries.build(RATIONAL, {k * (d - i): c for i, c in enumerate(self.h)})
+        # y^2 - h(x) is known below prec - 2e, so 2e + 1 terms certify it
+        y = _series.sqrt(w, prec=max(self.prec, 2 * e + 1), branch=self.sign).shift(-e)
+        if not _satisfies(self.h, self.x, y):
+            raise AssertionError("puncture chart fails the curve equation")
+        return y
 
 
 @dataclass(frozen=True)
@@ -184,14 +209,18 @@ def make_curve(
     h: Iterable[Fraction | int] | None = None,
     prec: int = DEFAULT_PREC,
 ) -> Curve:
-    """Build a catalog curve with verified puncture charts."""
+    """Build a catalog curve; its puncture charts are checked on first read.
+
+    A chart's y is expanded to at least ``prec`` terms (and to as many as
+    certify y^2 = h(x) at the puncture), when ``PunctureChart.y`` is read.
+    """
     if kind == AFFINE_LINE:
-        chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), None, 1)
+        chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), 1)
         return Curve(kind, (), 0, (chart,))
     if kind == MULTIPLICATIVE:
         charts = (
-            PunctureChart("0", LaurentSeries.monomial(RATIONAL, 1), None, 1),
-            PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), None, 1),
+            PunctureChart("0", LaurentSeries.monomial(RATIONAL, 1), 1),
+            PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), 1),
         )
         return Curve(kind, (), 0, charts)
     if kind != HYPERELLIPTIC:
@@ -210,30 +239,19 @@ def make_curve(
     if poly_gcd_degree(hh, poly_derivative(hh)) > 0:
         raise NotSquarefree("h must be squarefree")
     genus = (d - 1) // 2
+    prec = resolve_prec(prec)
 
-    charts = []
     if d % 2 == 1:
-        # one point at infinity: x = u^-2, y = u^-d * s(u),
-        # s(u)^2 = u^(2d) h(u^-2) = 1 + a_{d-1} u^2 + ... + a_0 u^(2d)
-        w = LaurentSeries.build(
-            RATIONAL, {2 * (d - i): hh[i] for i in range(d)} | {0: 1}
-        )
-        s = _series.sqrt(w, prec=prec)
-        x = LaurentSeries.monomial(RATIONAL, -2)
-        y = s.shift(-d)
-        charts.append(PunctureChart("infinity", x, y, 2))
+        # one point at infinity: x = u^-2, y = u^-d * s(u)
+        charts = (PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -2), 2, hh, 1, prec),)
     else:
         # two points at infinity: x = u^-1, y = +/- u^(-d/2) * s(u)
-        w = LaurentSeries.build(RATIONAL, {d - i: hh[i] for i in range(d)} | {0: 1})
-        s = _series.sqrt(w, prec=prec)
         x = LaurentSeries.monomial(RATIONAL, -1)
-        charts.append(PunctureChart("infinity+", x, s.shift(-d // 2), 1))
-        charts.append(PunctureChart("infinity-", x, (-s).shift(-d // 2), 1))
-    curve = Curve(HYPERELLIPTIC, hh, genus, tuple(charts))
-    for chart in charts:
-        if not check_on_curve(Loop(curve, chart.x, chart.y)):
-            raise AssertionError("puncture chart fails the curve equation")
-    return curve
+        charts = (
+            PunctureChart("infinity+", x, 1, hh, 1, prec),
+            PunctureChart("infinity-", x, 1, hh, -1, prec),
+        )
+    return Curve(HYPERELLIPTIC, hh, genus, charts)
 
 
 # -- loops ---------------------------------------------------------------------
@@ -250,8 +268,10 @@ def check_on_curve(loop: Loop) -> bool:
     - ``lift_x``, when the precision of y^2 - h(x), min(prec h(x),
       prec y + ord_min y) by the product rule, is exact or positive:
       ``sqrt`` certifies y^2 = h(x) below exactly that precision.
-    - ``puncture_loop``: ``make_curve`` has checked every chart.
+    - ``puncture_loop``: reading ``PunctureChart.y`` checks the chart.
     - ``point_loop``, through ``lift_x``.
+    - ``forms._verify_third_kind``'s loop at the conjugate (a, -b) of a
+      lifted point: y -> -y leaves y^2, so the check, unchanged.
     - ``cover_loop`` of a marked loop: z -> z^n maps the check term by
       term and scales its precision by n.
     - ``components._specialize_loop`` of a marked loop: t -> t0 is a ring
@@ -272,9 +292,13 @@ def check_on_curve(loop: Loop) -> bool:
         except ZeroSeries:
             return False
         return loop.x.coeff(v).is_unit()
-    if loop.y is None:
-        return False
-    r = loop.y * loop.y - eval_poly_at_series(curve.h, loop.x)
+    return loop.y is not None and _satisfies(curve.h, loop.x, loop.y)
+
+
+def _satisfies(h: Sequence[Fraction], x: LaurentSeries, y: LaurentSeries) -> bool:
+    """y^2 = h(x) as far as it is known; raises ``InsufficientPrecision``
+    when that is not past z^0."""
+    r = y * y - eval_poly_at_series(h, x)
     if not r.zero_to_prec():
         return False
     if r.prec is not None and r.prec <= 0:
@@ -368,16 +392,17 @@ def puncture_loop(curve: Curve, label: str) -> Loop:
 
 
 def point_loop(curve: Curve, point: tuple[Fraction, ...], prec: int = DEFAULT_PREC) -> Loop:
-    """An order-1 local loop x = a + z through a rational affine point."""
+    """An order-1 local loop x = a + z through a rational affine point.
+
+    On a hyperelliptic curve y is lifted once, on the branch of the sign
+    of b (+ for b = 0); ``ValueError`` when its constant term is not b.
+    """
     a = Fraction(point[0])
     x = LaurentSeries.build(RATIONAL, {0: a, 1: 1})
     if curve.kind != HYPERELLIPTIC:
         return Loop(curve, x)
     b = Fraction(point[1])
-    loop = lift_x(curve, x, branch=1, prec=prec)
-    if loop.y.coeff(0).as_fraction() == b:
-        return loop
-    loop = lift_x(curve, x, branch=-1, prec=prec)
-    if loop.y.coeff(0).as_fraction() == b:
-        return loop
-    raise ValueError(f"point ({a}, {b}) does not lie on the curve")
+    loop = lift_x(curve, x, branch=-1 if b < 0 else 1, prec=prec)
+    if loop.y.coeff(0).as_fraction() != b:
+        raise ValueError(f"point ({a}, {b}) does not lie on the curve")
+    return loop

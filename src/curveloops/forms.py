@@ -20,6 +20,7 @@ from .curves import (
     MULTIPLICATIVE,
     Curve,
     Loop,
+    _loop,
     check_on_curve,
     point_loop,
     puncture_loop,
@@ -156,6 +157,8 @@ class MeromorphicForm:
 
     @staticmethod
     def build(curve: Curve, num: XYPoly, den: XYPoly) -> "MeromorphicForm":
+        if curve.kind != HYPERELLIPTIC and any(j for f in (num, den) for _, j, _ in f.terms):
+            raise LoopSpaceError(f"the form uses y, which the curve {curve} does not have")
         num = num.reduce(curve.h)
         den = den.reduce(curve.h)
         if den.is_zero():
@@ -366,8 +369,27 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
 
 
 def _verify_third_kind(form: MeromorphicForm, p: Place, q: Place) -> None:
+    """Check every residue: 1 at p, -1 at q, 0 at the other punctures and at
+    the conjugates (a, -b) of hyperelliptic points among p, q.
+
+    Each place's loop is built once: a conjugate (a, -b) of a lifted point
+    is its loop with y negated, so ``lift_x`` runs once per x-value.
+    """
+    curve = form.curve
+    lifted = {}  # a -> the loop through a lifted point (a, b)
+
+    def loop_at(place: Place) -> Loop:
+        if isinstance(place, str) or curve.kind != HYPERELLIPTIC:
+            return place_loop(curve, place)
+        loop = lifted.get(place[0])
+        if loop is None:
+            loop = lifted[place[0]] = point_loop(curve, place)
+        elif loop.y.coeff(0).as_fraction() != place[1]:
+            return _loop(curve, loop.x, -loop.y, True)
+        return loop
+
     def expect(place: Place, value: Fraction) -> None:
-        got = residue_at_place(form, place).as_fraction()
+        got = residue_along(form, loop_at(place)).as_fraction()
         if got != value:
             raise VerificationFailed(
                 f"residue at {place!r} is {got}, expected {value}"
@@ -375,12 +397,12 @@ def _verify_third_kind(form: MeromorphicForm, p: Place, q: Place) -> None:
 
     expect(p, Fraction(1))
     expect(q, Fraction(-1))
-    for chart in form.curve.punctures:
+    for chart in curve.punctures:
         if chart.label not in (p, q):
             expect(chart.label, Fraction(0))
     for place in (p, q):
-        if isinstance(place, tuple) and form.curve.kind == HYPERELLIPTIC:
-            conj = (Fraction(place[0]), -Fraction(place[1]))
+        if isinstance(place, tuple) and curve.kind == HYPERELLIPTIC:
+            conj = (place[0], -place[1])
             if conj not in (p, q):
                 expect(conj, Fraction(0))
 

@@ -144,6 +144,18 @@ def test_prec_1_is_accepted():
                  "--ring", "nilpotent:2", "--form", "1/x"],
                 "error: leading coefficient is not a plain rational\n",
             ),
+            (
+                ["covers", "--genus", "3000", "--symmetric", "3"],
+                "error: 6^6000 assignments exceed the enumeration bound\n",
+            ),
+            (
+                ["residue", "--curve", "gm", "--x", "z", "--form", "1/(y)"],
+                "error: the form uses y, which the curve gm does not have\n",
+            ),
+            (
+                ["residue", "--curve", "a1", "--x", "z", "--form", "y"],
+                "error: the form uses y, which the curve a1 does not have\n",
+            ),
         ]
     ],
 )
@@ -165,6 +177,20 @@ def test_domain_argv_exits_1(argv, text):
                 ["residue", "--curve", "hyp:h=x^3+1", "--x", "2 + z",
                  "--ring", "nilpotent:2", "--form", "1/x"],
                 "residue=0\n",
+            ),
+            # charts at infinity certify themselves at any degree of h
+            (["census", "--curve", "hyp:h=x^13+1"], "classes=2\narc\npuncture infinity\n"),
+            (["classify", "--curve", "hyp:h=x^13+1", "--x", "z"], "class=Arc\n"),
+            *(
+                (
+                    ["thirdkind", "--curve", f"hyp:h=x^{d}+1", "--p", "(0,1)", "--q", "infinity"],
+                    "form=(1 + y)/(2*x*y) dx\nres[(0, 1)]=1\nres[infinity]=-1\n",
+                )
+                for d in (13, 15, 25, 31)
+            ),
+            (
+                ["thirdkind", "--curve", "hyp:h=x^24+1", "--p", "infinity+", "--q", "infinity-"],
+                "form=(-x^11)/(y) dx\nres[infinity+]=1\nres[infinity-]=-1\n",
             ),
         ]
     ],

@@ -1,3 +1,4 @@
+import re
 from functools import cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -8,6 +9,7 @@ from curveloops.covers import (
     ENUMERATION_LIMIT,
     GeneratorAssignment,
     Perm,
+    _power_text,
     commutator,
     compose,
     conjugacy_class_count,
@@ -162,6 +164,23 @@ def test_enumeration_bound_raises(genus, n):
     free = factorial(n) ** (2 * genus)
     with pytest.raises(TooLarge, match=f"^{free} assignments exceed the enumeration bound$"):
         count_homs(genus, n)
+
+
+@pytest.mark.parametrize(
+    "genus,n,text",
+    [(3000, 3, "6^6000"), (10**9, 3, "6^2000000000"), (10**9, 2, "2^2000000000")],
+)
+def test_enumeration_bound_message_never_builds_a_huge_count(genus, n, text):
+    with pytest.raises(TooLarge, match=f"^{re.escape(text)} assignments exceed the enumeration bound$"):
+        count_homs(genus, n)
+
+
+def test_enumeration_bound_message_prints_up_to_4300_digits():
+    # 2^14284 has 4300 digits and 2^14287 has 4301
+    assert _power_text(2, 14284) == str(2**14284)
+    assert _power_text(2, 14287) == "2^14287"
+    assert _power_text(10, 4299) == str(10**4299)
+    assert _power_text(10, 4300) == "10^4300"
 
 
 def test_witness_nonextendable():
