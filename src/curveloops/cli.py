@@ -121,14 +121,6 @@ def _build_loop(args, curve) -> curves.Loop:
     return curves.lift_x(curve, x, branch=branch, prec=args.prec)
 
 
-def _format_place(place) -> str:
-    if isinstance(place, str):
-        return place
-    if len(place) == 1:
-        return str(place[0])
-    return "(" + ", ".join(str(v) for v in place) + ")"
-
-
 def _class_json(c: curves.ComponentClass) -> dict:
     if c.kind == curves.ARC:
         return {"class": "Arc"}
@@ -216,7 +208,7 @@ def _cmd_thirdkind(args):
     lines = [f"form={form}"]
     data = {"form": str(form), "residues": {}}
     for place, value in ((p, 1), (q, -1)):  # the residues third_kind verified
-        label = _format_place(place)
+        label = forms.format_place(place)
         lines.append(f"res[{label}]={value}")
         data["residues"][label] = str(value)
     return lines, data

@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
     ZeroSeries,
 )
-from .ring import RATIONAL, Ring
+from .ring import RATIONAL, Ring, _format_monomials, _power
 from .series import DEFAULT_PREC, LaurentSeries, resolve_prec
 
 AFFINE_LINE = "a1"
@@ -94,9 +94,8 @@ class Curve:
 
     def __str__(self):
         if self.kind == HYPERELLIPTIC:
-            from .ring import _format_monomials
-
-            return f"hyp:h={_format_monomials(enumerate(self.h), 'x')}"
+            h = [(_power("x", i), q) for i, q in enumerate(self.h) if q]
+            return f"hyp:h={_format_monomials(h)}"
         return self.kind
 
 
@@ -193,12 +192,24 @@ def poly_gcd_degree(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
     return len(a) - 1
 
 
-def eval_poly_at_series(h: Sequence[Fraction], x: LaurentSeries) -> LaurentSeries:
-    """h(x(z)) by Horner's rule in the series ring."""
-    acc = LaurentSeries.zero(x.ring)
-    for c in reversed(h):
-        acc = acc * x + LaurentSeries.constant(x.ring, c)
-    return acc
+def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
+    """h(x(z)) for the coefficients h_0, h_1, ... of a polynomial: rationals,
+    or series over the ring of x.
+
+    Horner's rule over the nonzero coefficients only (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 5.2): a run of zero coefficients
+    costs one power x ** gap, so x^20000 + 1 takes O(log 20000) products.
+    """
+    acc, top = LaurentSeries.zero(x.ring), None
+    for i in range(len(h) - 1, -1, -1):
+        c = h[i]
+        if not isinstance(c, LaurentSeries):
+            if not c:
+                continue
+            c = LaurentSeries.constant(x.ring, c)
+        acc = c if top is None else acc * x ** (top - i) + c
+        top = i
+    return acc * x ** top if top else acc
 
 
 # -- curve construction -------------------------------------------------------

@@ -22,6 +22,7 @@ from .curves import (
     Loop,
     _loop,
     check_on_curve,
+    eval_poly_at_series,
     point_loop,
     puncture_loop,
 )
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedPointPair,
     VerificationFailed,
 )
-from .ring import Coeff, POLY
+from .ring import POLY, Coeff, _format_monomials, _power, poly_eval
 from .series import DEFAULT_PREC, LaurentSeries
 
 #: A place of the proper model: a puncture label, or an affine rational
@@ -40,111 +41,101 @@ from .series import DEFAULT_PREC, LaurentSeries
 Place = Union[str, tuple]
 
 
+def format_place(place: Place) -> str:
+    """A place as the CLI prints it: its label, a, or (a, b)."""
+    if isinstance(place, str):
+        return place
+    if len(place) == 1:
+        return str(place[0])
+    return "(" + ", ".join(str(v) for v in place) + ")"
+
+
 @dataclass(frozen=True)
 class XYPoly:
     """Polynomial in x and y with rational coefficients.
 
-    Terms are (x-degree, y-degree, coefficient), kept sorted; on a curve
-    the y-degree is reduced below 2 via y^2 = h(x).
+    ``series`` holds its rows A_j(x), indexed by the y-degree j: the exact
+    Laurent polynomial sum A_j(t) z^j over Q[t], with z standing for y and
+    t for x.  Arithmetic, ``==`` and ``hash`` are those of the series; on a
+    curve the y-degree is reduced below 2 via y^2 = h(x).
     """
 
-    terms: tuple[tuple[int, int, Fraction], ...]
+    series: LaurentSeries
 
     @staticmethod
     def build(mapping) -> "XYPoly":
-        out = {k: Fraction(v) for k, v in mapping.items() if v != 0}
-        return XYPoly(tuple(sorted((i, j, c) for (i, j), c in out.items())))
+        """The polynomial sum c x^i y^j of a mapping {(i, j): c}."""
+        terms = [LaurentSeries.monomial(POLY, j, Coeff.t(i, c)) for (i, j), c in mapping.items()]
+        return XYPoly(sum(terms, LaurentSeries.zero(POLY)))
 
     @staticmethod
     def const(c) -> "XYPoly":
-        return XYPoly.build({(0, 0): Fraction(c)})
+        q = Fraction(c)
+        return XYPoly(LaurentSeries.from_rows(POLY, q.denominator, [(0, (q.numerator,))], None))
 
     @staticmethod
     def x(power: int = 1) -> "XYPoly":
-        return XYPoly.build({(power, 0): 1})
+        return XYPoly(LaurentSeries.from_rows(POLY, 1, [(0, (0,) * power + (1,))], None))
 
     @staticmethod
     def y(power: int = 1) -> "XYPoly":
-        return XYPoly.build({(0, power): 1})
+        return XYPoly(LaurentSeries.from_rows(POLY, 1, [(power, (1,))], None))
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self):
-        return {(i, j): c for i, j, c in self.terms}
+        return self.series.is_zero()
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
-        out = self.as_dict()
-        for (i, j), c in other.as_dict().items():
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-        return XYPoly.build(out)
+        return XYPoly(self.series + other.series)
 
     def __neg__(self) -> "XYPoly":
-        return XYPoly(tuple((i, j, -c) for i, j, c in self.terms))
+        return XYPoly(-self.series)
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return self + (-other)
+        return XYPoly(self.series - other.series)
 
     def __mul__(self, other: "XYPoly") -> "XYPoly":
-        out: dict = {}
-        for i1, j1, c1 in self.terms:
-            for i2, j2, c2 in other.terms:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return XYPoly.build(out)
+        return XYPoly(self.series * other.series)
+
+    def __pow__(self, n: int) -> "XYPoly":
+        """The n-th power, n >= 0."""
+        return XYPoly(self.series ** n)
 
     def scale(self, q) -> "XYPoly":
-        q = Fraction(q)
-        return XYPoly.build({(i, j): c * q for i, j, c in self.terms})
+        return XYPoly(self.series.scale(Fraction(q)))
 
     def reduce(self, h: Sequence[Fraction]) -> "XYPoly":
-        """Replace y^2 by h(x) until the y-degree drops below 2."""
-        if not h:
+        """Replace y^2 by h(x): A(x) + B(x) y with A = sum A_2k(x) h^k and
+        B = sum A_2k+1(x) h^k, each by Horner's rule in h."""
+        s = self.series
+        if not h or not s.rows or s.rows[-1][0] < 2:
             return self
-        cur = self.as_dict()
-        while any(j >= 2 for (_, j) in cur):
-            nxt: dict = {}
-            for (i, j), c in cur.items():
-                if j < 2:
-                    nxt[(i, j)] = nxt.get((i, j), Fraction(0)) + c
-                else:
-                    for m, a in enumerate(h):
-                        if a != 0:
-                            key = (i + m, j - 2)
-                            nxt[key] = nxt.get(key, Fraction(0)) + c * a
-            cur = {k: v for k, v in nxt.items() if v != 0}
-        return XYPoly.build(cur)
+        hh = Coeff.poly(h)
+        halves = [Coeff.zero(POLY)] * 2
+        for j in range(s.rows[-1][0], -1, -1):
+            halves[j % 2] = halves[j % 2] * hh + s.coeff(j)
+        return XYPoly(LaurentSeries(POLY, enumerate(halves)))
 
     def evaluate(self, loop: Loop) -> LaurentSeries:
-        ring = loop.ring
-        xs = {i: loop.x ** i for i in {i for i, _, _ in self.terms if i}}
-        ys = {j: loop.y ** j for j in {j for _, j, _ in self.terms if j}}
-        acc = LaurentSeries.zero(ring)
-        for i, j, c in self.terms:
-            if i and j:
-                term = xs[i] * ys[j]
-            else:
-                term = xs[i] if i else ys[j] if j else LaurentSeries.one(ring)
-            acc = acc + term.scale(c)
-        return acc
+        """The polynomial along the loop, A_0(x) + y (A_1(x) + y (...)): each
+        A_j(x), and then the sum in y, by ``eval_poly_at_series``."""
+        s = self.series
+        if not s.rows:
+            return LaurentSeries.zero(loop.ring)
+        top = s.rows[-1][0]
+        rows: list = [0] * (top + 1)
+        for j, row in s.rows:
+            rows[j] = eval_poly_at_series(row, loop.x)
+        value = eval_poly_at_series(rows, loop.y) if top else rows[0]
+        return value if s.den == 1 else value.scale(Fraction(1, s.den))
 
     def __str__(self):
-        parts = []
-        for i, j, c in sorted(self.terms, key=lambda t: (t[1], t[0])):
-            mag = abs(c)
-            factors = []
-            if mag != 1 or (i == 0 and j == 0):
-                factors.append(str(mag))
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts) if parts else "0"
+        s = self.series
+        return _format_monomials([
+            ("*".join([p for p in (_power("x", i), _power("y", j)) if p]), Fraction(v, s.den))
+            for j, row in s.rows
+            for i, v in enumerate(row)
+            if v
+        ])
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ class MeromorphicForm:
 
     @staticmethod
     def build(curve: Curve, num: XYPoly, den: XYPoly) -> "MeromorphicForm":
-        if curve.kind != HYPERELLIPTIC and any(j for f in (num, den) for _, j, _ in f.terms):
+        if curve.kind != HYPERELLIPTIC and any(j for f in (num, den) for j, _ in f.series.rows):
             raise LoopSpaceError(f"the form uses y, which the curve {curve} does not have")
         num = num.reduce(curve.h)
         den = den.reduce(curve.h)
@@ -269,8 +260,6 @@ def _hyp_point(curve: Curve, place: tuple) -> tuple[Fraction, Fraction]:
     if len(place) != 2:
         raise UnsupportedPointPair(f"a point of this curve has two coordinates, got {len(place)}")
     a, b = Fraction(place[0]), Fraction(place[1])
-    from .ring import poly_eval
-
     if poly_eval(curve.h, a) != b * b:
         raise UnsupportedPointPair(f"({a}, {b}) is not on the curve")
     if b == 0:
@@ -392,7 +381,7 @@ def _verify_third_kind(form: MeromorphicForm, p: Place, q: Place) -> None:
         got = residue_along(form, loop_at(place)).as_fraction()
         if got != value:
             raise VerificationFailed(
-                f"residue at {place!r} is {got}, expected {value}"
+                f"residue at {format_place(place)} is {got}, expected {value}"
             )
 
     expect(p, Fraction(1))

@@ -112,23 +112,30 @@ class _SeriesAlgebra:
         return a ** n
 
 
+_ONE = XYPoly.const(1)
+
+
+def _times(p: XYPoly, q: XYPoly) -> XYPoly:
+    """p * q, skipping a factor of one: every curve spec and most forms
+    have denominator 1, and (a*1 + b*1, 1*1) is (a + b, 1)."""
+    return q if p == _ONE else p if q == _ONE else p * q
+
+
 class _XYAlgebra:
     """Expression values are rational functions (num, den) in x and y."""
 
-    names = ("x", "y")
-
     def atom(self, name: str, pos: int):
         if name == "x":
-            return (XYPoly.x(), XYPoly.const(1))
+            return (XYPoly.x(), _ONE)
         if name == "y":
-            return (XYPoly.y(), XYPoly.const(1))
+            return (XYPoly.y(), _ONE)
         raise ParseError(f"unknown symbol {name!r}", pos)
 
     def literal(self, value: int):
-        return (XYPoly.const(value), XYPoly.const(1))
+        return (XYPoly.const(value), _ONE)
 
     def add(self, a, b):
-        return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+        return (_times(a[0], b[1]) + _times(b[0], a[1]), _times(a[1], b[1]))
 
     def sub(self, a, b):
         return self.add(a, (-b[0], b[1]))
@@ -137,17 +144,15 @@ class _XYAlgebra:
         return (-a[0], a[1])
 
     def mul(self, a, b):
-        return (a[0] * b[0], a[1] * b[1])
+        return (_times(a[0], b[0]), _times(a[1], b[1]))
 
     def div(self, a, b):
         if b[0].is_zero():
             raise ParseError("division by zero", 0)
-        return (a[0] * b[1], a[1] * b[0])
+        return (_times(a[0], b[1]), _times(a[1], b[0]))
 
     def pow(self, a, n: int):
-        num, den = XYPoly.const(1), XYPoly.const(1)
-        for _ in range(abs(n)):
-            num, den = num * a[0], den * a[1]
+        num, den = [p if p == _ONE else p ** abs(n) for p in a]
         return (num, den) if n >= 0 else (den, num)
 
 
@@ -295,11 +300,10 @@ def parse_xy_rational(text: str) -> tuple[XYPoly, XYPoly]:
 def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
     """Parse a polynomial in x into an ascending coefficient tuple."""
     num, den = parse_xy_rational(text)
-    if any(j != 0 for _, j, _ in num.terms) or str(den) != "1":
+    rows = num.series.rows
+    if den != _ONE or (rows and rows[-1][0] != 0):
         raise ParseError("expected a polynomial in x", 0)
-    coeffs: dict[int, Fraction] = {i: c for i, _, c in num.terms}
-    degree = max(coeffs, default=0)
-    return tuple(coeffs.get(i, Fraction(0)) for i in range(degree + 1))
+    return tuple([Fraction(v, num.series.den) for v in (rows[0][1] if rows else (0,))])
 
 
 def parse_curve_spec(text: str) -> Curve:

@@ -371,18 +371,17 @@ def _from_scalars(ring: Ring, values: Iterable[Scalar]) -> Coeff:
     return _reduced(ring, den, payload)
 
 
-def _format_monomials(pairs, symbol):
-    """Render [(power, fraction), ...] as a signed monomial sum."""
+def _power(symbol: str, n: int) -> str:
+    """symbol^n as the text of a monomial factor: "" for n = 0."""
+    return symbol if n == 1 else f"{symbol}^{n}" if n else ""
+
+
+def _format_monomials(pairs) -> str:
+    """Render [(monomial text, nonzero fraction), ...] as a signed sum."""
     parts = []
-    for power, q in pairs:
-        if q == 0:
-            continue
+    for text, q in pairs:
         mag = abs(q)
-        if power == 0:
-            body = str(mag)
-        else:
-            var = symbol if power == 1 else f"{symbol}^{power}"
-            body = var if mag == 1 else f"{mag}*{var}"
+        body = str(mag) if not text else text if mag == 1 else f"{mag}*{text}"
         if not parts:
             parts.append(body if q > 0 else f"-{body}")
         else:
@@ -392,7 +391,7 @@ def _format_monomials(pairs, symbol):
 
 def format_coeff(c: Coeff) -> str:
     symbol = "eps" if c.ring.kind == NILPOTENT_KIND else "t"
-    return _format_monomials(enumerate(c.data), symbol)
+    return _format_monomials([(_power(symbol, i), q) for i, q in enumerate(c.data) if q])
 
 
 def coeff_is_composite(c: Coeff) -> bool:

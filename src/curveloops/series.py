@@ -312,14 +312,13 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
             return self.invert() ** (-n)
-        result = LaurentSeries.one(self.ring)
-        base = self
+        result, base = None, self  # None stands for one: no product by one
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            base = base * base if n else base
+        return LaurentSeries.one(self.ring) if result is None else result
 
     # -- valuation, inversion, calculus -----------------------------------
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,4 +298,77 @@ def test_uncertified_family_lift_reports_each_fiber(argv):
     ],
 )
 def test_malformed_place_is_rejected(argv, code, text):
+    assert run(argv) == (code, text)
+
+
+# -- thirdkind / residue byte corpus --------------------------------------------
+
+#: Places per curve: punctures, rational points and their conjugates,
+#: Weierstrass points and points off the curve.
+CORPUS_PLACES = {
+    "gm": ("0", "infinity", "1", "-2", "1/3"),
+    "a1": ("infinity", "0", "1"),
+    "hyp:h=x^3+1": ("infinity", "(0,1)", "(0,-1)", "(2,3)", "(2,-3)", "(-1,0)"),
+    "hyp:h=x^4+1": ("infinity+", "infinity-", "(0,1)", "(0,-1)"),
+    "hyp:h=x^4-1": ("infinity+", "infinity-", "(1,0)", "(0,1)"),
+    "hyp:h=x^5+1": ("infinity", "(0,1)", "(0,-1)", "(-1,0)"),
+    "hyp:h=x^6+3": ("infinity+", "infinity-", "(1,2)", "(1,-2)", "(-1,2)"),
+    "hyp:h=x^13+1": ("infinity", "(0,1)", "(0,-1)"),
+    "hyp:h=x^3-x+1": ("infinity", "(0,1)", "(1,-1)", "(-1,1)", "(3,5)", "(3,-5)"),
+}
+
+#: (x, branch) loops per curve: the order-1 (or 2) loops at the punctures,
+#: arcs through rational and Weierstrass points, inexact loops and loops
+#: over Q[eps]/eps^3.
+CORPUS_LOOPS = {
+    "gm": (
+        ("z^-1", "+"), ("2 + z", "+"), ("z^3 + z^4", "+"), ("z^-1 + eps*z^2 + O(z^5)", "+"),
+        ("eps*z^-1 + 1 + z + O(z^3)", "+"),
+    ),
+    "hyp:h=x^3+1": (
+        ("z^-2", "+"), ("z^-2", "-"), ("z", "+"), ("z", "-"), ("2 + z", "-"),
+        ("z^-2 + 1 + O(z^12)", "+"), ("2 + z + eps*z^2", "+"),
+    ),
+    "hyp:h=x^4+1": (("z^-1", "+"), ("z^-1", "-"), ("z", "+")),
+    "hyp:h=x^4-1": (("z^-1", "-"), ("1 + z", "+")),
+    "hyp:h=x^5+1": (("z^-2", "+"), ("z", "-")),
+    "hyp:h=x^6+3": (("z^-1", "+"), ("1 + z", "-")),
+    "hyp:h=x^3-x+1": (("z^-2", "-"), ("3 + z", "+"), ("z", "+")),
+}
+
+CORPUS_FORMS = (
+    "y^2", "y^3", "y^4", "(x+y)^3/(y-1)^2", "1/y^3", "x^2*y^3 - y/x",
+    "x^200 + 1/x", "(x^2 - 1)/(x - 2)^3",
+)
+
+
+def corpus_argv():
+    """Every ordered pair of distinct places per curve for ``thirdkind``, then
+    every form along every loop for ``residue`` (y-forms on hyperelliptic
+    curves only)."""
+    for spec, places in CORPUS_PLACES.items():
+        for p in places:
+            for q in places:
+                if p != q:
+                    yield ["thirdkind", "--curve", spec, "--p", p, "--q", q]
+    for spec, loops in CORPUS_LOOPS.items():
+        for x, branch in loops:
+            for form in CORPUS_FORMS:
+                if spec.startswith("hyp") or "y" not in form:
+                    yield ["residue", "--curve", spec, "--x", x, "--branch", branch, "--form", form]
+
+
+CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
+
+def test_corpus_file_matches_its_argv():
+    assert [argv for argv, _, _ in CORPUS] == list(corpus_argv())
+
+
+@pytest.mark.parametrize(
+    "argv,code,text", [pytest.param(*entry, id=" ".join(entry[0])) for entry in CORPUS]
+)
+def test_thirdkind_residue_corpus(argv, code, text):
+    """Exit code and output bytes of ``thirdkind`` and ``residue``, pinned in
+    ``cli_corpus.json``."""
     assert run(argv) == (code, text)

@@ -57,6 +57,22 @@ def test_xypoly_str():
     assert str(XYPoly.build({(0, 1): 2, (2, 0): -1})) == "-x^2 + 2*y"
 
 
+def test_xypoly_evaluation_is_sparse(monkeypatch):
+    # x^20000 + 1 along x = 1/z: a dense Horner pass would take 20000 products
+    real = LaurentSeries.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    poly = XYPoly.x(20000) + XYPoly.const(1)
+    value = poly.evaluate(Loop(GM, S({-1: 1})))
+    assert value == S({-20000: 1, 0: 1})
+    assert len(products) <= 2 * (20000).bit_length()
+
+
 # -- pullback and residues ---------------------------------------------------------
 
 
@@ -180,6 +196,23 @@ def old_residue_along(form, loop):
     return (num * den.invert() * loop.x.derivative()).residue()
 
 
+def old_evaluate(poly, loop):
+    """XYPoly.evaluate as it was: a table of the powers of x and y, and one
+    scaled product per term."""
+    terms = [(i, j, c) for j, row in poly.series.terms for i, c in enumerate(row.data) if c]
+    ring = loop.ring
+    xs = {i: loop.x ** i for i in {i for i, _, _ in terms if i}}
+    ys = {j: loop.y ** j for j in {j for _, j, _ in terms if j}}
+    acc = LaurentSeries.zero(ring)
+    for i, j, c in terms:
+        if i and j:
+            term = xs[i] * ys[j]
+        else:
+            term = xs[i] if i else ys[j] if j else LaurentSeries.one(ring)
+        acc = acc + term.scale(c)
+    return acc
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -269,6 +302,18 @@ def residue_cases(draw):
 def test_residue_along_matches_the_whole_pullback(case):
     form, loop = case
     assert outcome(residue_along, form, loop) == outcome(old_residue_along, form, loop)
+
+
+@given(residue_cases())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_the_power_table(case):
+    form, loop = case
+    # num * den is not reduced: up to y^2 on hyperelliptic curves
+    for poly in (form.num, form.den, form.num * form.den):
+        got, want = outcome(poly.evaluate, loop), outcome(old_evaluate, poly, loop)
+        assert got == want
+        if isinstance(got, LaurentSeries):
+            assert (got.rows, got.prec) == (want.rows, want.prec)
 
 
 def test_residue_window_is_capped_at_the_full_window():

@@ -163,6 +163,6 @@ def test_failed_verification_exits_1(monkeypatch):
     real = forms.residue_along
     monkeypatch.setattr(forms, "residue_along", lambda form, loop: real(form, loop).scale(2))
     assert run(["thirdkind", "--curve", "hyp:h=x^3+1", "--p", "(0,1)", "--q", "(2,3)"]) == (
-        1, "error: residue at (Fraction(0, 1), Fraction(1, 1)) is 2, expected 1\n"
+        1, "error: residue at (0, 1) is 2, expected 1\n"
     )
     assert cli.run(["thirdkind", "--curve", "gm", "--p", "1", "--q", "infinity"])[0] == 1
