@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import series as _series
@@ -26,7 +27,7 @@ from .errors import (
     RingMismatch,
     ZeroSeries,
 )
-from .ring import RATIONAL, Ring, _format_monomials, _power
+from .ring import RATIONAL, Coeff, Ring, _format_monomials, _power
 from .series import DEFAULT_PREC, LaurentSeries, resolve_prec
 
 AFFINE_LINE = "a1"
@@ -162,34 +163,25 @@ class ComponentClass:
         return f"class=A1 connected has_pole={'true' if self.has_pole else 'false'}"
 
 
-# -- polynomial helpers (coefficients ascending, over Q) ---------------------
+# -- polynomial helpers ------------------------------------------------------
 
 
-def poly_derivative(h: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(h[i] * i for i in range(1, len(h)))
-
-
-def poly_gcd_degree(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
-    """Degree of gcd(a, b) over Q (Euclid with exact fractions)."""
-
-    def trim(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
+def _is_squarefree(p: Sequence[int]) -> bool:
+    """Whether gcd(p, p') is a constant, for the ascending integer
+    coefficients of a polynomial p of degree >= 1: Euclid on primitive
+    pseudo-remainders, so every entry stays an integer."""
+    a, b = list(p), [i * v for i, v in enumerate(p)][1:]
     while b:
-        # a mod b
-        r = a[:]
-        while len(r) >= len(b) and trim(r):
-            q = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i in range(len(b)):
-                r[shift + i] -= q * b[i]
-            r = trim(r)
-        a, b = b, r
-    return len(a) - 1
+        while len(a) >= len(b):  # a <- lead(b) a - lead(a) x^shift b
+            top, shift = a[-1], len(a) - len(b)
+            a = [v * b[-1] for v in a]
+            for i, v in enumerate(b):
+                a[shift + i] -= top * v
+            while a and not a[-1]:
+                a.pop()
+        g = gcd(*a)
+        a, b = b, [v // g for v in a]
+    return len(a) == 1
 
 
 def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
@@ -239,16 +231,15 @@ def make_curve(
 
     if h is None:
         raise ValueError("hyperelliptic curves need the polynomial h")
-    hh = tuple(Fraction(c) for c in h)
-    while hh and hh[-1] == 0:
-        hh = hh[:-1]
-    d = len(hh) - 1
+    row = Coeff.poly(h)  # trimmed integers over one denominator
+    d = len(row.payload) - 1
     if d < 3:
         raise DegreeTooSmall("deg h must be at least 3")
-    if hh[-1] != 1:
+    if row.payload[-1] != row.den:
         raise NotMonic("h must be monic")
-    if poly_gcd_degree(hh, poly_derivative(hh)) > 0:
+    if not _is_squarefree(row.payload):
         raise NotSquarefree("h must be squarefree")
+    hh = row.data
     genus = (d - 1) // 2
     prec = resolve_prec(prec)
 

@@ -29,11 +29,10 @@ from .curves import (
 from .errors import (
     FormSingularAlongLoop,
     LoopSpaceError,
-    RingMismatch,
     UnsupportedPointPair,
     VerificationFailed,
 )
-from .ring import POLY, Coeff, _format_monomials, _power, poly_eval
+from .ring import POLY, Coeff, _format_monomials, _power
 from .series import DEFAULT_PREC, LaurentSeries
 
 #: A place of the proper model: a puncture label, or an affine rational
@@ -153,7 +152,7 @@ class MeromorphicForm:
         num = num.reduce(curve.h)
         den = den.reduce(curve.h)
         if den.is_zero():
-            raise ZeroDivisionError("form denominator is zero on the curve")
+            raise FormSingularAlongLoop("form denominator is zero on the curve")
         return MeromorphicForm(curve, num, den)
 
     def __str__(self):
@@ -243,28 +242,28 @@ def family_residue_constancy(form: MeromorphicForm, loop: Loop) -> bool:
 # -- third-kind differentials -------------------------------------------------
 
 
-def _gm_place_value(place: Place) -> Fraction | None:
-    """Finite x-value of a place of the projective line; None at infinity."""
+def _place(curve: Curve, place: Place) -> Place:
+    """The normal form of a place, as ``third_kind`` and its check compare
+    places: a puncture label of the curve; (a,) on the line, with the point
+    0 read as its puncture "0"; or (a, b) on a hyperelliptic curve, checked
+    to lie on it and not to be a Weierstrass point."""
     if isinstance(place, str):
-        if place == "0":
-            return Fraction(0)
-        if place == "infinity":
-            return None
-        raise UnsupportedPointPair(f"unknown place {place!r}")
-    if len(place) != 1:
-        raise UnsupportedPointPair(f"a point of the line has one coordinate, got {len(place)}")
-    return Fraction(place[0])
-
-
-def _hyp_point(curve: Curve, place: tuple) -> tuple[Fraction, Fraction]:
+        if place not in [chart.label for chart in curve.punctures]:
+            raise UnsupportedPointPair(f"unknown puncture {place!r}")
+        return place
+    place = tuple([Fraction(v) for v in place])
+    if curve.kind == MULTIPLICATIVE:
+        if len(place) != 1:
+            raise UnsupportedPointPair(f"a point of the line has one coordinate, got {len(place)}")
+        return "0" if place[0] == 0 else place
     if len(place) != 2:
         raise UnsupportedPointPair(f"a point of this curve has two coordinates, got {len(place)}")
-    a, b = Fraction(place[0]), Fraction(place[1])
-    if poly_eval(curve.h, a) != b * b:
+    a, b = place
+    if Coeff.poly(curve.h).specialize(a).as_fraction() != b * b:
         raise UnsupportedPointPair(f"({a}, {b}) is not on the curve")
     if b == 0:
         raise UnsupportedPointPair("Weierstrass points are not supported")
-    return a, b
+    return place
 
 
 def _hyp_half_form(a: Fraction, b: Fraction) -> tuple[XYPoly, XYPoly]:
@@ -272,11 +271,6 @@ def _hyp_half_form(a: Fraction, b: Fraction) -> tuple[XYPoly, XYPoly]:
     num = XYPoly.y() + XYPoly.const(b)
     den = XYPoly.const(2) * XYPoly.y() * (XYPoly.x() - XYPoly.const(a))
     return num, den
-
-
-def _hyp_infinity_form(curve: Curve) -> tuple[XYPoly, XYPoly]:
-    """x^g dx / y on an even-degree curve: residues -1 at oo+, +1 at oo-."""
-    return XYPoly.x(curve.genus) if curve.genus else XYPoly.const(1), XYPoly.y()
 
 
 def _combine(parts) -> tuple[XYPoly, XYPoly]:
@@ -295,64 +289,34 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     hyperelliptic curves at punctures and finite non-Weierstrass rational
     points.  The output's residues are recomputed and checked; a mismatch
     raises ``VerificationFailed`` rather than returning a bad form.
+
+    The form is a weighted sum: dx/(x - a) at a finite point of the line,
+    and on a hyperelliptic curve the half-form at a finite point, with
+    residue sign there and -sign/2 at each of two infinities (even degree)
+    or -sign at the one infinity (odd degree).  On even degree x^g dx/y
+    (residue -1 at oo+, +1 at oo-) enters last, with weight
+    (target(oo-) - target(oo+)) / 2; the half-forms' own spill at infinity
+    cancels, since all residues sum to zero.
     """
-    if isinstance(p, tuple):
-        p = tuple(Fraction(v) for v in p)
-    if isinstance(q, tuple):
-        q = tuple(Fraction(v) for v in q)
+    if curve.kind not in (MULTIPLICATIVE, HYPERELLIPTIC):
+        raise UnsupportedPointPair("third-kind forms: projective line or hyperelliptic")
+    p, q = _place(curve, p), _place(curve, q)
     if p == q:
         raise UnsupportedPointPair("the two places must differ")
-    if curve.kind == MULTIPLICATIVE:
-        parts = []
-        a = _gm_place_value(p)
-        b = _gm_place_value(q)
-        if a is not None:
-            parts.append((1, (XYPoly.const(1), XYPoly.x() - XYPoly.const(a))))
-        if b is not None:
-            parts.append((-1, (XYPoly.const(1), XYPoly.x() - XYPoly.const(b))))
-        if not parts:
-            raise UnsupportedPointPair("both places at infinity")
-        num, den = _combine(parts)
-        form = MeromorphicForm.build(curve, num, den)
-    elif curve.kind == HYPERELLIPTIC:
-        odd = curve.degree % 2 == 1
-        labels = {c.label for c in curve.punctures}
-        parts = []
-        infinity_weight = Fraction(0)
-
-        def side(place: Place, sign: int) -> None:
-            # Building blocks: the half-form at a finite point has residue
-            # sign at the point and -sign/2 at each of the two infinities
-            # (even degree) or -sign at the single infinity (odd degree);
-            # the x^g dx/y correction moves residue from oo+ to oo-.  The
-            # correction weight (target(oo-) - target(oo+)) / 2 balances the
-            # books; the half-forms' own spill at infinity cancels against
-            # the requirement that all residues sum to zero.
-            nonlocal infinity_weight
-            if isinstance(place, str):
-                if place not in labels:
-                    raise UnsupportedPointPair(f"unknown puncture {place!r}")
-                if odd:
-                    return  # the -1 residue at infinity comes out automatically
-                infinity_weight += Fraction(-sign if place == "infinity+" else sign, 2)
-            else:
-                a, b = _hyp_point(curve, place)
-                parts.append((sign, _hyp_half_form(a, b)))
-
-        side(p, 1)
-        side(q, -1)
-        if odd:
-            if isinstance(p, str) and isinstance(q, str):
-                raise UnsupportedPointPair("only one puncture on this curve")
-        elif infinity_weight != 0:
-            parts.append((infinity_weight, _hyp_infinity_form(curve)))
-        if not parts:
-            raise UnsupportedPointPair("no supported construction for this pair")
-        num, den = _combine(parts)
-        form = MeromorphicForm.build(curve, num, den)
-    else:
-        raise UnsupportedPointPair("third-kind forms: projective line or hyperelliptic")
-
+    parts = []
+    infinity_weight = Fraction(0)
+    for sign, place in ((1, p), (-1, q)):
+        if curve.kind == MULTIPLICATIVE:
+            if place != "infinity":
+                a = 0 if place == "0" else place[0]
+                parts.append((sign, (XYPoly.const(1), XYPoly.x() - XYPoly.const(a))))
+        elif isinstance(place, tuple):
+            parts.append((sign, _hyp_half_form(*place)))
+        elif place != "infinity":
+            infinity_weight += Fraction(-sign if place == "infinity+" else sign, 2)
+    if infinity_weight:
+        parts.append((infinity_weight, (XYPoly.x(curve.genus), XYPoly.y())))
+    form = MeromorphicForm.build(curve, *_combine(parts))
     _verify_third_kind(form, p, q)
     return form
 

@@ -152,6 +152,8 @@ class _XYAlgebra:
         return (_times(a[0], b[1]), _times(a[1], b[0]))
 
     def pow(self, a, n: int):
+        if n < 0 and a[0].is_zero():
+            raise ParseError("division by zero", 0)
         num, den = [p if p == _ONE else p ** abs(n) for p in a]
         return (num, den) if n >= 0 else (den, num)
 
@@ -267,6 +269,15 @@ def infer_ring(text: str, default_nilpotency: int = 3) -> Ring:
     return RATIONAL
 
 
+def _parse(parser: _ExprParser):
+    """``parser.parse_sum()``; input nested deeper than the interpreter's
+    recursion limit allows is a parse error."""
+    try:
+        return parser.parse_sum()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+
+
 def parse_series(text: str, ring: Ring | None = None) -> LaurentSeries:
     """Parse a series literal; the ring is inferred unless given."""
     if ring is None:
@@ -277,8 +288,7 @@ def parse_series(text: str, ring: Ring | None = None) -> LaurentSeries:
     def on_big_o(n: int):
         prec_box[0] = n
 
-    parser = _ExprParser(tokens, _SeriesAlgebra(ring), on_big_o)
-    value = parser.parse_sum()
+    value = _parse(_ExprParser(tokens, _SeriesAlgebra(ring), on_big_o))
     if not tokens.done():
         raise ParseError("trailing input", tokens.peek()[2])
     if value is None:
@@ -290,19 +300,23 @@ def parse_xy_rational(text: str) -> tuple[XYPoly, XYPoly]:
     """Parse a rational function in x and y (an optional trailing dx is eaten)."""
     text = re.sub(r"\bdx\s*$", "", text.strip())
     tokens = _Tokens(text)
-    parser = _ExprParser(tokens, _XYAlgebra())
-    value = parser.parse_sum()
+    value = _parse(_ExprParser(tokens, _XYAlgebra()))
     if not tokens.done():
         raise ParseError("trailing input", tokens.peek()[2])
     return value
 
 
 def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
-    """Parse a polynomial in x into an ascending coefficient tuple."""
+    """Parse a polynomial in x, over a nonzero constant denominator, into
+    an ascending coefficient tuple."""
     num, den = parse_xy_rational(text)
+    (j, c), *rest = den.series.rows  # den is never zero
     rows = num.series.rows
-    if den != _ONE or (rows and rows[-1][0] != 0):
+    if rest or j or len(c) > 1 or (rows and rows[-1][0]):
         raise ParseError("expected a polynomial in x", 0)
+    if den != _ONE:
+        num = num.scale(Fraction(den.series.den, c[0]))
+        rows = num.series.rows
     return tuple([Fraction(v, num.series.den) for v in (rows[0][1] if rows else (0,))])
 
 

@@ -203,11 +203,6 @@ def packed_mul(
     return [values[at:at + keep] for at in range(0, slots, stride)]
 
 
-def poly_eval(a: Sequence[Scalar], x: Scalar) -> Fraction:
-    """a(x) for the rational coefficients a_0, a_1, ... of a polynomial."""
-    return Coeff.poly(a).specialize(x).as_fraction()
-
-
 @dataclass(frozen=True, slots=True)
 class Coeff:
     """An element of one of the supported rings: ``payload`` / ``den``, in

@@ -157,6 +157,15 @@ def test_prec_1_is_accepted():
                 ["residue", "--curve", "a1", "--x", "z", "--form", "y"],
                 "error: the form uses y, which the curve a1 does not have\n",
             ),
+            (
+                ["residue", "--curve", "hyp:h=x^3+1", "--x", "z", "--form", "1/(y^2 - x^3 - 1)"],
+                "error: form denominator is zero on the curve\n",
+            ),
+            (
+                ["thirdkind", "--curve", "gm", "--p", "0", "--q", "(0)"],
+                "error: the two places must differ\n",
+            ),
+            (["census", "--curve", "hyp:h=(x^3+1)/2"], "error: h must be monic\n"),
         ]
     ],
 )
@@ -193,11 +202,48 @@ def test_domain_argv_exits_1(argv, text):
                 ["thirdkind", "--curve", "hyp:h=x^24+1", "--p", "infinity+", "--q", "infinity-"],
                 "form=(-x^11)/(y) dx\nres[infinity+]=1\nres[infinity-]=-1\n",
             ),
+            # rational coefficients in h
+            (["census", "--curve", "hyp:h=x^3 + 1/2*x + 1"], "classes=2\narc\npuncture infinity\n"),
+            (
+                ["thirdkind", "--curve", "hyp:h=x^3 + x/2 + 1", "--p", "(0,1)", "--q", "infinity"],
+                "form=(1 + y)/(2*x*y) dx\nres[(0, 1)]=1\nres[infinity]=-1\n",
+            ),
         ]
     ],
 )
 def test_argv_answers(argv, text):
     assert run(argv) == (0, text)
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        pytest.param(argv, text, id=" ".join(argv)[:80])
+        for argv, text in [
+            (["residue", "--curve", "gm", "--x", "z", "--form", "0^-1"], "division by zero"),
+            (["residue", "--curve", "gm", "--x", "z", "--form", "(x - x)^-1"], "division by zero"),
+            (["census", "--curve", "hyp:h=x^3 + 1/x"], "expected a polynomial in x"),
+            (["factor", "(" * 300 + "z" + ")" * 300], "expression nested too deeply"),
+            (
+                ["residue", "--curve", "gm", "--x", "z", "--form", "(" * 300 + "1/x" + ")" * 300],
+                "expression nested too deeply",
+            ),
+        ]
+    ],
+)
+def test_parse_error_argv_exits_2(argv, text):
+    assert run(argv) == (2, f"parse error: {text} (at position 0)\n")
+
+
+@pytest.mark.parametrize("zero", ["(0)", "0/1", "-0"])
+def test_spellings_of_zero_name_the_puncture_on_the_line(zero):
+    for q in ("1", "infinity"):
+        assert run(["thirdkind", "--curve", "gm", "--p", zero, "--q", q]) == run(
+            ["thirdkind", "--curve", "gm", "--p", "0", "--q", q]
+        )
+        assert run(["thirdkind", "--curve", "gm", "--p", q, "--q", zero]) == run(
+            ["thirdkind", "--curve", "gm", "--p", q, "--q", "0"]
+        )
 
 
 def test_parser_is_built_once():

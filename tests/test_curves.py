@@ -50,6 +50,60 @@ def test_curve_validation():
         make_curve("hyp", (1, 1))
 
 
+def gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q, by Euclid with exact fractions: the
+    oracle for the squarefree test on integer rows."""
+
+    def trim(p):
+        p = list(p)
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i in range(len(b)):
+                r[shift + i] -= q * b[i]
+            r = trim(r)
+        a, b = b, r
+    return len(a) - 1
+
+
+def times(a, b):
+    return [sum([a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)]) for k in range(len(a) + len(b) - 1)]
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(
+    st.lists(small, min_size=3, max_size=5),
+    st.lists(small, max_size=2),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_squarefree_test_matches_the_fraction_euclid(f, g, square, integral):
+    """h = x^n + f, times (x^m + g)^2 when ``square``: monic of degree at
+    least 3, with and without a square factor, over Z or over Q."""
+    if integral:
+        f, g = [round(v) for v in f], [round(v) for v in g]
+    h = [Fraction(v) for v in f] + [Fraction(1)]
+    if square:
+        g = [Fraction(v) for v in g] + [Fraction(1)]
+        h = times(times(h, g), g)
+    try:
+        make_curve("hyp", h)
+        squarefree = True
+    except NotSquarefree:
+        squarefree = False
+    assert squarefree == (gcd_degree(h, [i * v for i, v in enumerate(h)][1:]) == 0)
+
+
 def test_genus():
     assert HYP3.genus == 1
     assert HYP4.genus == 1

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from curveloops.forms import (
     residue_sum,
     third_kind,
 )
+from curveloops.parser import parse_curve_spec, parse_place
 from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries
 
@@ -160,6 +163,58 @@ def test_third_kind_rejects_bad_input():
         third_kind(HYP3, (1, 1), "infinity")  # not on the curve
     with pytest.raises(UnsupportedPointPair):
         third_kind(HYP3, (-1, 0), "infinity")  # Weierstrass point
+
+
+#: The (curve, p, q) grid of ``third_kind_grid.json``: every ordered pair of
+#: these places, also equal and invalid ones, on each curve.
+GRID_CURVES = ("gm", "a1", "hyp:h=x^3+1", "hyp:h=x^4-1", "hyp:h=x^5+1", "hyp:h=x^6+3")
+GRID_PLACES = (
+    "0", "(0)", "0/1", "-0", "infinity", "infinity+", "infinity-", "1", "-2", "1/3",
+    "(0,1)", "(0,-1)", "(2,3)", "(2,-3)", "(1,2)", "(1,-2)", "(-1,2)", "(-1,0)", "(1,0)", "(0,1,5)",
+)
+#: The other spellings of the puncture 0 on the line.
+ZERO_SPELLINGS = ("(0)", "0/1", "-0")
+
+#: ``third_kind``'s outcome over the grid before places had one normal form:
+#: one [curve, p, [outcome for each q]] line per (curve, p), an outcome
+#: being the form's text or the name of the exception class raised.
+GRID = json.loads((Path(__file__).parent / "third_kind_grid.json").read_text())
+RECORDED = {(spec, p, q): out for spec, p, row in GRID for q, out in zip(GRID_PLACES, row)}
+
+
+def test_grid_file_matches_its_places():
+    assert [(spec, p, len(row)) for spec, p, row in GRID] == [
+        (spec, p, len(GRID_PLACES)) for spec in GRID_CURVES for p in GRID_PLACES
+    ]
+
+
+def _outcome(curve, p, q):
+    try:
+        return str(third_kind(curve, parse_place(p), parse_place(q)))
+    except LoopSpaceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("spec", GRID_CURVES)
+def test_third_kind_grid_keeps_its_outcomes(spec):
+    """Answers stay byte-identical and exceptions keep their class; on the
+    line a spelling of 0 now answers as the puncture "0" does, or raises
+    that the two places must differ."""
+    curve = parse_curve_spec(spec)
+    for p in GRID_PLACES:
+        for q in GRID_PLACES:
+            got = _outcome(curve, p, q)
+            if spec == "gm":  # read a spelling of 0 as the puncture "0"
+                p0, q0 = ["0" if v in ZERO_SPELLINGS else v for v in (p, q)]
+            else:
+                p0, q0 = p, q
+            recorded = RECORDED[spec, p0, q0]
+            if p0 == q0 and p != q:
+                assert got == ("UnsupportedPointPair", "the two places must differ")
+            elif recorded.endswith(" dx"):
+                assert got == recorded
+            else:
+                assert got[0] == recorded
 
 
 # -- families and linear algebra ------------------------------------------------------

@@ -99,6 +99,40 @@ def test_parse_x_polynomial():
         parse_x_polynomial("1/x")
 
 
+@pytest.mark.parametrize(
+    "text,h",
+    [
+        ("x^3 + 1/2*x + 1", (1, Fraction(1, 2), 0, 1)),
+        ("x^3 + x/2 + 1", (1, Fraction(1, 2), 0, 1)),
+        ("(x^3+1)/2*2", (1, 0, 0, 1)),
+        ("(x^3+1)/2", (Fraction(1, 2), 0, 0, Fraction(1, 2))),
+        ("x^2/(-3)", (0, 0, Fraction(-1, 3))),
+    ],
+)
+def test_parse_x_polynomial_divides_by_a_constant(text, h):
+    assert parse_x_polynomial(text) == h
+
+
+@pytest.mark.parametrize("text", ["x^3 + 1/x", "x^3 + y", "x^-1 + x^3", "(x^3+1)/(2*x)", "x/(1 + y)"])
+def test_parse_x_polynomial_rejects_other_denominators(text):
+    with pytest.raises(ParseError, match="expected a polynomial in x"):
+        parse_x_polynomial(text)
+
+
+@pytest.mark.parametrize("text", ["0^-1", "(x - x)^-1", "1/(2*(x - x))^2"])
+def test_negative_power_of_zero_is_division_by_zero(text):
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_xy_rational(text)
+
+
+@pytest.mark.parametrize("parse,atom", [(parse_series, "z"), (parse_xy_rational, "x")])
+def test_deep_nesting_is_a_parse_error(parse, atom):
+    for deep in ("(" * 300 + atom + ")" * 300, "-" * 1000 + atom):
+        with pytest.raises(ParseError, match="expression nested too deeply"):
+            parse(deep)
+    assert parse("(" * 100 + atom + ")" * 100) == parse(atom)
+
+
 def test_parse_curve_spec():
     assert parse_curve_spec("a1").kind == "a1"
     assert parse_curve_spec("gm").kind == "gm"
