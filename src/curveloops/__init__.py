@@ -2,8 +2,8 @@
 
 Laurent series over exact coefficient rings, the multiplicative normal
 form of invertible series, loop classification on a small curve catalog,
-residue calculus for meromorphic 1-forms, and brute-force surface-group
-homomorphism counts.
+residue calculus for meromorphic 1-forms, and surface-group homomorphism
+counts from one commutator histogram.
 """
 
 from .components import (

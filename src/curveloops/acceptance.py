@@ -31,7 +31,6 @@ from .forms import (
     family_residue_constancy,
     pullback,
     residue_along,
-    residue_at_place,
     residue_sum,
     third_kind,
 )

@@ -12,13 +12,11 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import components, covers, curves, forms, normal_form
 from .errors import LoopSpaceError, ParseError
 from .parser import (
     format_normal_form,
-    format_series,
     parse_curve_spec,
     parse_fraction_list,
     parse_place,
@@ -29,7 +27,11 @@ from .ring import POLY, RATIONAL, Ring, format_coeff, nilpotent_ring
 from .series import DEFAULT_PREC
 
 
-def _parse_ring_flag(text: str) -> Ring:
+def _parse_ring_flag(text: str | None) -> Ring | None:
+    """The ring ``--ring`` names; None, to infer it, when the flag is absent
+    or empty."""
+    if not text:
+        return None
     if text == "rational":
         return RATIONAL
     if text == "poly":
@@ -60,65 +62,73 @@ def _int_at_least(low: int):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``run``
-    in the process (``parse_args`` does not change it)."""
+    in the process (``parse_args`` does not change it).  Each subcommand
+    registers only the flags its handler reads, and ``--json``, which
+    ``run`` reads."""
     top = argparse.ArgumentParser(prog="curveloops", add_help=True)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--prec", type=_int_at_least(1), default=DEFAULT_PREC)
-        p.add_argument("--ring", type=str, default=None)
+    def flags(p, prec=False, ring=False):
+        if prec:
+            p.add_argument("--prec", type=_int_at_least(1), default=DEFAULT_PREC)
+        if ring:
+            p.add_argument("--ring", type=str, default=None)
         p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("factor", help="Contou-Carrere style normal form")
-    p.add_argument("series")
-    common(p)
-
-    for name in ("classify", "residue"):
-        p = sub.add_parser(name)
+    def loop_flags(p):
         p.add_argument("--curve", required=True)
         p.add_argument("--x", required=True)
         p.add_argument("--y", default=None)
+
+    p = sub.add_parser("factor", help="Contou-Carrere style normal form")
+    p.add_argument("series")
+    flags(p, prec=True, ring=True)
+
+    for name in ("classify", "residue"):
+        p = sub.add_parser(name)
+        loop_flags(p)
         p.add_argument("--branch", choices=["+", "-"], default="+")
         if name == "residue":
             p.add_argument("--form", required=True)
-        common(p)
+        flags(p, prec=True, ring=True)
 
     p = sub.add_parser("census")
     p.add_argument("--curve", required=True)
-    common(p)
+    flags(p)
 
     p = sub.add_parser("family")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", default=None)
+    loop_flags(p)
     p.add_argument("--t", required=True)
-    common(p)
+    flags(p, prec=True)
 
     p = sub.add_parser("thirdkind")
     p.add_argument("--curve", required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    common(p)
+    flags(p)
 
     p = sub.add_parser("covers")
     p.add_argument("--genus", type=_int_at_least(1), required=True)
     p.add_argument("--symmetric", type=_int_at_least(0), required=True)
-    common(p)
+    flags(p)
 
     p = sub.add_parser("selftest")
-    common(p)
+    flags(p)
     return top
 
 
-def _build_loop(args, curve) -> curves.Loop:
-    ring = _parse_ring_flag(args.ring) if args.ring else None
+def _build_loop(args, curve, ring: Ring | None, branch: str = "+") -> curves.Loop:
+    """The loop ``--x``/``--y`` over ``ring`` (inferred when None); on a
+    hyperelliptic curve without ``--y``, y is lifted on ``branch``.  A
+    ``--y`` on a curve without y is a domain error."""
     x = parse_series(args.x, ring)
     if curve.kind != curves.HYPERELLIPTIC:
+        if args.y is not None:
+            raise LoopSpaceError(f"the loop gives y, which the curve {curve} does not have")
         return curves.Loop(curve, x)
     if args.y is not None:
         return curves.Loop(curve, x, parse_series(args.y, ring or x.ring))
-    branch = 1 if args.branch == "+" else -1
-    return curves.lift_x(curve, x, branch=branch, prec=args.prec)
+    return curves.lift_x(curve, x, branch=1 if branch == "+" else -1, prec=args.prec)
 
 
 def _class_json(c: curves.ComponentClass) -> dict:
@@ -130,8 +140,7 @@ def _class_json(c: curves.ComponentClass) -> dict:
 
 
 def _cmd_factor(args):
-    ring = _parse_ring_flag(args.ring) if args.ring else None
-    s = parse_series(args.series, ring)
+    s = parse_series(args.series, _parse_ring_flag(args.ring))
     nf = normal_form.factor(s, prec=args.prec)
     data = {
         "unit": format_coeff(nf.unit),
@@ -145,7 +154,7 @@ def _cmd_factor(args):
 
 def _cmd_classify(args):
     curve = parse_curve_spec(args.curve)
-    loop = _build_loop(args, curve)
+    loop = _build_loop(args, curve, _parse_ring_flag(args.ring), args.branch)
     if not curves.check_on_curve(loop):
         raise LoopSpaceError("loop does not lie on the curve")
     cls = curves.classify_loop(loop)
@@ -168,14 +177,7 @@ def _cmd_census(args):
 
 def _cmd_family(args):
     curve = parse_curve_spec(args.curve)
-    x = parse_series(args.x, POLY)
-    if curve.kind == curves.HYPERELLIPTIC:
-        if args.y is not None:
-            loop = curves.Loop(curve, x, parse_series(args.y, POLY))
-        else:
-            loop = curves.lift_x(curve, x, prec=args.prec)
-    else:
-        loop = curves.Loop(curve, x)
+    loop = _build_loop(args, curve, POLY)
     result = components.classify_family(loop, parse_fraction_list(args.t))
     lines = []
     fibers = []
@@ -195,7 +197,7 @@ def _cmd_residue(args):
     curve = parse_curve_spec(args.curve)
     num, den = parse_xy_rational(args.form)
     form = forms.MeromorphicForm.build(curve, num, den)
-    loop = _build_loop(args, curve)
+    loop = _build_loop(args, curve, _parse_ring_flag(args.ring), args.branch)
     r = forms.residue_along(form, loop)
     return [f"residue={format_coeff(r)}"], {"residue": format_coeff(r)}
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .curves import (
     A1_CONNECTED,
     AFFINE_LINE,
     ARC,
-    POLE,
     ComponentClass,
     Curve,
     Loop,
@@ -27,7 +26,6 @@ from .curves import (
 )
 from .errors import LoopSpaceError
 from .ring import POLY
-from .series import LaurentSeries
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     ZeroSeries,
 )
 from .ring import RATIONAL, Coeff, Ring, _format_monomials, _power
-from .series import DEFAULT_PREC, LaurentSeries, resolve_prec
+from .series import DEFAULT_PREC, LaurentSeries
 
 AFFINE_LINE = "a1"
 MULTIPLICATIVE = "gm"
@@ -48,9 +48,10 @@ class PunctureChart:
 
     On a hyperelliptic curve ``y`` is sign * u^(-e) * sqrt(w(u)), with
     w = u^(2e) h(x(u)) and e = d (odd d) or d/2 (even d).  It is expanded
-    and checked against y^2 = h(x) on its first read and kept on the
-    chart; ``h``, ``sign`` and ``prec`` say what to expand, and ``y`` takes
-    no part in ``==``, ``hash`` or ``repr``.  On a1 and gm ``y`` is None.
+    to max(DEFAULT_PREC, 2e + 1) terms and checked against y^2 = h(x) on
+    its first read, and kept on the chart; ``h`` and ``sign`` say what to
+    expand, and ``y`` takes no part in ``==``, ``hash`` or ``repr``.  On a1
+    and gm ``y`` is None.
     """
 
     label: str
@@ -58,7 +59,6 @@ class PunctureChart:
     x_pole_order: int
     h: tuple[Fraction, ...] = field(default=(), repr=False)
     sign: int = field(default=1, repr=False)
-    prec: int = field(default=DEFAULT_PREC, repr=False)
 
     @cached_property
     def y(self) -> LaurentSeries | None:
@@ -70,7 +70,7 @@ class PunctureChart:
         k = self.x_pole_order
         w = LaurentSeries.build(RATIONAL, {k * (d - i): c for i, c in enumerate(self.h)})
         # y^2 - h(x) is known below prec - 2e, so 2e + 1 terms certify it
-        y = _series.sqrt(w, prec=max(self.prec, 2 * e + 1), branch=self.sign).shift(-e)
+        y = _series.sqrt(w, prec=max(DEFAULT_PREC, 2 * e + 1), branch=self.sign).shift(-e)
         if not _satisfies(self.h, self.x, y):
             raise AssertionError("puncture chart fails the curve equation")
         return y
@@ -207,16 +207,10 @@ def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
 # -- curve construction -------------------------------------------------------
 
 
-def make_curve(
-    kind: str,
-    h: Iterable[Fraction | int] | None = None,
-    prec: int = DEFAULT_PREC,
-) -> Curve:
-    """Build a catalog curve; its puncture charts are checked on first read.
-
-    A chart's y is expanded to at least ``prec`` terms (and to as many as
-    certify y^2 = h(x) at the puncture), when ``PunctureChart.y`` is read.
-    """
+def make_curve(kind: str, h: Iterable[Fraction | int] | None = None) -> Curve:
+    """Build a catalog curve, "a1", "gm" or "hyp" with the ascending
+    coefficients ``h`` of y^2 = h(x).  Its charts are expanded and checked
+    on first read (see ``PunctureChart``)."""
     if kind == AFFINE_LINE:
         chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), 1)
         return Curve(kind, (), 0, (chart,))
@@ -241,17 +235,16 @@ def make_curve(
         raise NotSquarefree("h must be squarefree")
     hh = row.data
     genus = (d - 1) // 2
-    prec = resolve_prec(prec)
 
     if d % 2 == 1:
         # one point at infinity: x = u^-2, y = u^-d * s(u)
-        charts = (PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -2), 2, hh, 1, prec),)
+        charts = (PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -2), 2, hh, 1),)
     else:
         # two points at infinity: x = u^-1, y = +/- u^(-d/2) * s(u)
         x = LaurentSeries.monomial(RATIONAL, -1)
         charts = (
-            PunctureChart("infinity+", x, 1, hh, 1, prec),
-            PunctureChart("infinity-", x, 1, hh, -1, prec),
+            PunctureChart("infinity+", x, 1, hh, 1),
+            PunctureChart("infinity-", x, 1, hh, -1),
         )
     return Curve(HYPERELLIPTIC, hh, genus, charts)
 
@@ -393,18 +386,19 @@ def puncture_loop(curve: Curve, label: str) -> Loop:
     return _loop(curve, chart.x, chart.y, True)
 
 
-def point_loop(curve: Curve, point: tuple[Fraction, ...], prec: int = DEFAULT_PREC) -> Loop:
+def point_loop(curve: Curve, point: tuple[Fraction, ...]) -> Loop:
     """An order-1 local loop x = a + z through a rational affine point.
 
-    On a hyperelliptic curve y is lifted once, on the branch of the sign
-    of b (+ for b = 0); ``ValueError`` when its constant term is not b.
+    On a hyperelliptic curve y is lifted once, to ``DEFAULT_PREC`` terms,
+    on the branch of the sign of b (+ for b = 0); ``ValueError`` when its
+    constant term is not b.
     """
     a = Fraction(point[0])
     x = LaurentSeries.build(RATIONAL, {0: a, 1: 1})
     if curve.kind != HYPERELLIPTIC:
         return Loop(curve, x)
     b = Fraction(point[1])
-    loop = lift_x(curve, x, branch=-1 if b < 0 else 1, prec=prec)
+    loop = lift_x(curve, x, branch=-1 if b < 0 else 1)
     if loop.y.coeff(0).as_fraction() != b:
         raise ValueError(f"point ({a}, {b}) does not lie on the curve")
     return loop

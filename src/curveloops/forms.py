@@ -112,7 +112,7 @@ class XYPoly:
         halves = [Coeff.zero(POLY)] * 2
         for j in range(s.rows[-1][0], -1, -1):
             halves[j % 2] = halves[j % 2] * hh + s.coeff(j)
-        return XYPoly(LaurentSeries(POLY, enumerate(halves)))
+        return XYPoly(LaurentSeries.build(POLY, dict(enumerate(halves))))
 
     def evaluate(self, loop: Loop) -> LaurentSeries:
         """The polynomial along the loop, A_0(x) + y (A_1(x) + y (...)): each

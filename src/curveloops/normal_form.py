@@ -46,12 +46,6 @@ class NormalForm:
     pos: tuple[tuple[int, Coeff], ...]
     prec: int | None = None
 
-    def neg_dict(self) -> dict[int, Coeff]:
-        return dict(self.neg)
-
-    def pos_dict(self) -> dict[int, Coeff]:
-        return dict(self.pos)
-
 
 def _neg_factor_inverse(ring: Ring, i: int, a: Coeff) -> LaurentSeries:
     """(1 - a z^-i)^-1 = sum_m a^m z^-im, finite since a is nilpotent."""

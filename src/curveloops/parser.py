@@ -32,6 +32,10 @@ from .series import LaurentSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),=]))")
 
+#: The nilpotency order k of Q[eps]/(eps^k) for a series that uses eps
+#: and names no ring.
+INFERRED_NILPOTENCY = 3
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -256,14 +260,14 @@ class _ExprParser:
         raise ParseError("expected a value", pos)
 
 
-def infer_ring(text: str, default_nilpotency: int = 3) -> Ring:
+def infer_ring(text: str) -> Ring:
     names = set(re.findall(r"[A-Za-z]+", text))
     has_eps = "eps" in names
     has_t = "t" in names
     if has_eps and has_t:
         raise ParseError("eps and t cannot be mixed in one series", 0)
     if has_eps:
-        return nilpotent_ring(default_nilpotency)
+        return nilpotent_ring(INFERRED_NILPOTENCY)
     if has_t:
         return POLY
     return RATIONAL

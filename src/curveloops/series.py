@@ -18,9 +18,12 @@ with its own denominator.  Payloads follow the rules of
 entries are coprime, and every stored exponent lies below ``prec``.  The
 form is canonical, so ``==`` and ``hash`` compare values.  Arithmetic
 works on the integers, and products pass the rows straight to
-``ring.packed_mul``.  ``terms``, ``coeff`` and ``as_dict`` read rows as
-``Coeff`` values (one gcd each), and ``LaurentSeries(ring, terms, prec)``
-puts ``Coeff`` values over their common denominator.
+``ring.packed_mul``.
+
+A series is built the way a ``Coeff`` is: ``LaurentSeries(ring, den, rows,
+prec)`` takes canonical fields as they are, ``from_rows`` makes integer
+rows canonical, and ``build`` reads ``Coeff`` values or rationals keyed by
+exponent.  ``terms`` and ``coeff`` read rows as ``Coeff`` values.
 """
 
 from __future__ import annotations
@@ -77,25 +80,11 @@ def _min_prec(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _fill(s: "LaurentSeries", ring: Ring, den: int, rows: tuple, prec: int | None) -> None:
-    object.__setattr__(s, "ring", ring)
-    object.__setattr__(s, "den", den)
-    object.__setattr__(s, "rows", rows)
-    object.__setattr__(s, "prec", prec)
-
-
-def _raw(ring: Ring, den: int, rows: tuple, prec: int | None) -> "LaurentSeries":
-    """The series with these fields, which must already be canonical."""
-    s = object.__new__(LaurentSeries)
-    _fill(s, ring, den, rows, prec)
-    return s
-
-
 def _scaled(rows: tuple, f: int):
     return rows if f == 1 else [(e, tuple([v * f for v in p])) for e, p in rows]
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class LaurentSeries:
     """Element of A((z)); immutable, canonical (see the module docstring)."""
 
@@ -104,49 +93,43 @@ class LaurentSeries:
     rows: tuple[tuple[int, tuple[int, ...]], ...]
     prec: int | None
 
-    def __init__(self, ring: Ring, terms: Iterable[tuple[int, Coeff]], prec: int | None = None):
-        """The series with these (exponent, ``Coeff``) terms; zero terms
-        and terms at or past ``prec`` are dropped.  Over the lcm of the
-        canonical ``Coeff`` denominators the rows are canonical: a prime's
-        top power there divides some ``den`` but not all of its payload."""
-        kept = sorted(
-            [(e, c) for e, c in terms if (prec is None or e < prec) and any(c.payload)],
-            key=itemgetter(0),
-        )
-        den = lcm(*[c.den for _, c in kept])
-        rows = tuple([
-            (e, c.payload if c.den == den else tuple([v * (den // c.den) for v in c.payload]))
-            for e, c in kept
-        ])
-        _fill(self, ring, den, rows, prec)
-
     # -- construction ---------------------------------------------------
 
     @staticmethod
     def build(
-        ring: Ring,
-        terms: Mapping[int, CoeffLike],
-        prec: int | None = None,
+        ring: Ring, terms: Mapping[int, CoeffLike], prec: int | None = None
     ) -> "LaurentSeries":
-        out = []
+        """The series sum c z^e over ``terms``, a mapping from exponents to
+        ``Coeff`` values of ``ring`` or rationals; zero terms and terms at
+        or past ``prec`` are dropped.  Over the lcm of the canonical
+        ``Coeff`` denominators the rows are canonical: a prime's top power
+        there divides some ``den`` but not all of its payload."""
+        kept = []
         for e, c in terms.items():
             if not isinstance(c, Coeff):
                 c = Coeff.const(ring, c)
             elif c.ring != ring:
                 raise RingMismatch("term coefficient from a different ring")
-            out.append((e, c))
-        return LaurentSeries(ring, out, prec)
+            if (prec is None or e < prec) and any(c.payload):
+                kept.append((e, c))
+        kept.sort(key=itemgetter(0))
+        den = lcm(*[c.den for _, c in kept])
+        rows = tuple([
+            (e, c.payload if c.den == den else tuple([v * (den // c.den) for v in c.payload]))
+            for e, c in kept
+        ])
+        return LaurentSeries(ring, den, rows, prec)
 
     @staticmethod
     def from_rows(ring: Ring, den: int, rows: Iterable, prec: int | None) -> "LaurentSeries":
         """The series sum payload z^e / den, in the form of
         ``ring.canonical``; ``rows`` are (e, payload) pairs of ints,
         ascending in e and below ``prec``, and ``den`` > 0."""
-        return _raw(ring, *canonical(ring, den, rows), prec)
+        return LaurentSeries(ring, *canonical(ring, den, rows), prec)
 
     @staticmethod
     def zero(ring: Ring) -> "LaurentSeries":
-        return _raw(ring, 1, (), None)
+        return LaurentSeries(ring, 1, (), None)
 
     @staticmethod
     def one(ring: Ring) -> "LaurentSeries":
@@ -183,9 +166,6 @@ class LaurentSeries:
         if i < len(rows) and rows[i][0] == exp:
             return self._coeff(rows[i][1])
         return Coeff.zero(self.ring)
-
-    def as_dict(self) -> dict[int, Coeff]:
-        return dict(self.terms)
 
     # -- basic queries ----------------------------------------------------
 
@@ -225,7 +205,7 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         # tuple([...]), not tuple(<generator>): see ring.integer_rows
         rows = tuple([(e, tuple([-v for v in p])) for e, p in self.rows])
-        return _raw(self.ring, self.den, rows, self.prec)
+        return LaurentSeries(self.ring, self.den, rows, self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -247,7 +227,7 @@ class LaurentSeries:
                 om = b.prec if b.prec is not None else 0
             prec = _min_prec(prec, a.prec + om)
         if not self.rows or not other.rows:
-            return _raw(self.ring, 1, (), prec)
+            return LaurentSeries(self.ring, 1, (), prec)
         # Exponents of both operands lie on base + step*N; the packed
         # product runs over that lattice.
         ea, eb = self.rows[0][0], other.rows[0][0]
@@ -256,7 +236,7 @@ class LaurentSeries:
         if prec is not None:
             count = min(count, -((ea + eb - prec) // step))
         if count <= 0:
-            return _raw(self.ring, 1, (), prec)
+            return LaurentSeries(self.ring, 1, (), prec)
         a = [((e - ea) // step, p) for e, p in self.rows]
         # the same list for s * s: the kernel then packs once and squares
         b = a if other is self else [((e - eb) // step, p) for e, p in other.rows]
@@ -277,21 +257,21 @@ class LaurentSeries:
             if c.ring != self.ring:
                 raise RingMismatch("scale by a coefficient from a different ring")
             if c.is_zero() or not self.rows:
-                return _raw(self.ring, 1, (), self.prec)
+                return LaurentSeries(self.ring, 1, (), self.prec)
             a = [(i, p) for i, (_, p) in enumerate(self.rows)]
             products = packed_mul(a, [(0, c.payload)], len(a), self.ring.order)
             rows = [(e, row) for (e, _), row in zip(self.rows, products)]
             return LaurentSeries.from_rows(self.ring, self.den * c.den, rows, self.prec)
         q = Fraction(c)
         if not q:
-            return _raw(self.ring, 1, (), self.prec)
+            return LaurentSeries(self.ring, 1, (), self.prec)
         n = q.numerator
         rows = [(e, tuple([v * n for v in p])) for e, p in self.rows]
         return LaurentSeries.from_rows(self.ring, self.den * q.denominator, rows, self.prec)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by z^n."""
-        return _raw(
+        return LaurentSeries(
             self.ring,
             self.den,
             tuple([(e + n, p) for e, p in self.rows]),
@@ -305,7 +285,7 @@ class LaurentSeries:
         rows = self.rows
         n = bisect_left(rows, (p,))
         if n == len(rows):
-            return self if p == self.prec else _raw(self.ring, self.den, rows, p)
+            return self if p == self.prec else LaurentSeries(self.ring, self.den, rows, p)
         # dropping terms may leave a common factor with den
         return LaurentSeries.from_rows(self.ring, self.den, rows[:n], p)
 
@@ -401,7 +381,7 @@ class LaurentSeries:
         """
         if n < 1:
             raise ValueError("covering degree must be a positive integer")
-        return _raw(
+        return LaurentSeries(
             self.ring,
             self.den,
             tuple([(e * n, p) for e, p in self.rows]),
@@ -438,7 +418,7 @@ def _inverse_step(b: LaurentSeries, g: LaurentSeries, k: int) -> LaurentSeries:
 
 def _as_polynomial(s: LaurentSeries) -> LaurentSeries:
     """The stored terms of ``s`` read as an exact Laurent polynomial."""
-    return _raw(s.ring, s.den, s.rows, None)
+    return LaurentSeries(s.ring, s.den, s.rows, None)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

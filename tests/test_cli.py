@@ -1,8 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+from curveloops import acceptance, cli
 from curveloops.acceptance import GOLDEN_CLI
 from curveloops.cli import _build_parser, run
 
@@ -115,6 +117,85 @@ def test_rejected_argv_exits_2(argv):
     assert code == 2
     # argparse reports usage errors on stderr; the grammar's own on stdout
     assert text == "" or text.startswith("parse error:")
+
+
+# A subcommand registers only the flags its handler reads, so any other
+# flag is a usage error.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--curve", "gm", "--prec", "5"],
+        ["thirdkind", "--curve", "gm", "--p", "1", "--q", "2", "--ring", "poly"],
+        ["covers", "--genus", "1", "--symmetric", "3", "--prec", "3"],
+        ["selftest", "--ring", "poly"],
+        ["family", "--curve", "gm", "--x", "z + t", "--t", "1", "--ring", "nilpotent:2"],
+    ],
+    ids=" ".join,
+)
+def test_unread_flag_exits_2(argv):
+    assert run(argv) == (2, "")
+
+
+# (x, y) is no loop on a curve without y: --y is not dropped in silence
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--curve", "gm", "--x", "z", "--y", "5"],
+        ["residue", "--curve", "a1", "--x", "z", "--y", "7", "--form", "1/x"],
+        ["family", "--curve", "a1", "--x", "z + t", "--y", "1", "--t", "0,1"],
+    ],
+    ids=" ".join,
+)
+def test_y_on_a_curve_without_y_exits_1(argv):
+    curve = argv[argv.index("--curve") + 1]
+    assert run(argv) == (1, f"error: the loop gives y, which the curve {curve} does not have\n")
+
+
+#: Short argv per subcommand, in the parser's order, that between them
+#: reach every flag read by its handler or by ``run``
+FLAG_READERS = {
+    "factor": [["factor", "1 - z"]],
+    "classify": [["classify", "--curve", "hyp:h=x^3+1", "--x", "z^-2"]],
+    "residue": [["residue", "--curve", "hyp:h=x^3+1", "--x", "z^-2", "--form", "1/x"]],
+    "census": [["census", "--curve", "gm"]],
+    "family": [["family", "--curve", "hyp:h=x^3+1", "--x", "z^-2 + t*z^-1", "--t", "0"]],
+    "thirdkind": [["thirdkind", "--curve", "gm", "--p", "1", "--q", "infinity"]],
+    "covers": [["covers", "--genus", "1", "--symmetric", "3"]],
+    "selftest": [["selftest"]],
+}
+
+
+def test_every_registered_flag_is_read(monkeypatch):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAG_READERS)
+    read = set()
+
+    class Recording:
+        """A parsed ``Namespace`` that notes each attribute read from it."""
+
+        def __init__(self, values):
+            self._values = values
+
+        def __getattr__(self, name):
+            read.add(name)
+            try:
+                return self._values[name]
+            except KeyError:
+                raise AttributeError(name) from None
+
+    class RecordingParser:
+        def parse_args(self, argv):
+            return Recording(vars(parser.parse_args(argv)))
+
+    monkeypatch.setattr(cli, "_build_parser", RecordingParser)
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])  # selftest reads no more
+    for name, argvs in FLAG_READERS.items():
+        read.clear()
+        for argv in argvs:
+            assert run(argv)[0] == 0, argv
+        flags = {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+        assert flags <= read, f"{name} registers {sorted(flags - read)} and never reads them"
 
 
 def test_prec_1_is_accepted():

@@ -289,17 +289,18 @@ def ring_coeff(draw, ring):
 
 def rescaled(s, u):
     """s(u z) for a unit u: the coefficient at z^e is multiplied by u^e."""
-    terms = []
+    terms = {}
     for e, c in s.terms:
         p = Coeff.one(s.ring)
         for _ in range(abs(e)):
             p = p * u
-        terms.append((e, c * (p if e >= 0 else p.invert())))
-    return LaurentSeries(s.ring, terms, s.prec)
+        terms[e] = c * (p if e >= 0 else p.invert())
+    return LaurentSeries.build(s.ring, terms, s.prec)
 
 
 def embedded(s, ring):
-    return LaurentSeries(ring, [(e, Coeff.const(ring, c.as_fraction())) for e, c in s.terms], s.prec)
+    terms = {e: Coeff.const(ring, c.as_fraction()) for e, c in s.terms}
+    return LaurentSeries.build(ring, terms, s.prec)
 
 
 @st.composite
@@ -321,7 +322,7 @@ def residue_cases(draw):
         for e in draw(st.sets(st.integers(low + 1, low + 8), max_size=4)):
             terms[e] = ring_coeff(draw, ring)
         k = draw(precs)
-        loop = Loop(curve, LaurentSeries(ring, list(terms.items()), None if k is None else low + k))
+        loop = Loop(curve, LaurentSeries.build(ring, terms, None if k is None else low + k))
     else:
         lift_ring = POLY if ring == POLY else RATIONAL
         if curve is HYP3 and draw(st.booleans()):
@@ -332,7 +333,7 @@ def residue_cases(draw):
         for e in draw(st.sets(st.integers(low + 1, low + 8), max_size=3)):
             terms.setdefault(e, ring_coeff(draw, lift_ring))
         k = draw(precs)
-        x = LaurentSeries(lift_ring, list(terms.items()), None if k is None else low + k)
+        x = LaurentSeries.build(lift_ring, terms, None if k is None else low + k)
         loop = lift_x(curve, x, branch=draw(st.sampled_from([1, -1])), prec=draw(st.integers(1, 30)))
         if ring.kind == "nilpotent":
             u = Coeff.nil(ring, [1, draw(small)])

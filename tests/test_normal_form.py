@@ -31,7 +31,7 @@ def test_factor_polynomial_oracle():
     assert nf.unit.as_fraction() == 2
     assert nf.order == 2
     assert nf.neg == ()
-    assert nf.pos_dict() == {1: Coeff.const(RATIONAL, 3)}
+    assert dict(nf.pos) == {1: Coeff.const(RATIONAL, 3)}
     assert nf.prec is None
 
 
@@ -41,14 +41,14 @@ def test_factor_nilpotent_negative_part():
     nf = factor(alpha)
     assert nf.order == -1
     assert nf.neg == ()
-    assert nf.pos_dict() == {1: nil3(0, -1)}
+    assert dict(nf.pos) == {1: nil3(0, -1)}
     assert reconstruct(nf) == alpha
 
     # eps z^-1 + 1 = (1 - (-eps) z^-1): a genuine negative factor
     beta = N({-1: nil3(0, 1), 0: nil3(1)})
     nf = factor(beta)
     assert nf.order == 0
-    assert nf.neg_dict() == {1: nil3(0, -1)}
+    assert dict(nf.neg) == {1: nil3(0, -1)}
     assert nf.pos == ()
     assert reconstruct(nf) == beta
 

@@ -8,9 +8,10 @@ from curveloops.errors import (
     NoRationalSquareRoot,
     NotInvertible,
     OddValuation,
+    RingMismatch,
     ZeroSeries,
 )
-from curveloops.ring import RATIONAL, Coeff, nilpotent_ring
+from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries, sqrt
 
 NIL3 = nilpotent_ring(3)
@@ -59,6 +60,44 @@ def test_terms_beyond_prec_dropped():
 
 def test_equality_includes_precision():
     assert S({1: 1}) != S({1: 1}, prec=5)
+
+
+def test_build_rejects_a_coeff_of_another_ring():
+    with pytest.raises(RingMismatch):
+        LaurentSeries.build(RATIONAL, {0: Coeff.one(NIL3)})
+    with pytest.raises(RingMismatch):
+        LaurentSeries.build(NIL3, {0: Coeff.one(nilpotent_ring(2))})
+
+
+def test_build_drops_zero_terms_and_terms_at_or_past_prec():
+    terms = {-1: Coeff.zero(NIL3), 0: 0, 1: Coeff.eps(NIL3, value=Fraction(1, 2)), 3: 5, 4: 1}
+    s = LaurentSeries.build(NIL3, terms, 3)
+    assert (s.den, s.rows, s.prec) == (2, ((1, (0, 1, 0)),), 3)
+    assert LaurentSeries.build(POLY, {0: Coeff.zero(POLY), 2: 0}) == LaurentSeries.zero(POLY)
+
+
+def _coeff_of_row(ring, den, payload):
+    values = [Fraction(v, den) for v in payload]
+    if ring == POLY:
+        return Coeff.poly(values)
+    if ring == RATIONAL:
+        return Coeff.const(ring, values[0])
+    return Coeff.nil(ring, values)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, NIL3, POLY], ids=str)
+@given(data=st.data())
+@settings(max_examples=40)
+def test_build_equals_from_rows_of_the_same_integers(ring, data):
+    width = 3 if ring == POLY else ring.order or 1
+    den = data.draw(st.integers(1, 12))
+    exps = data.draw(st.lists(st.integers(-5, 5), unique=True, max_size=5))
+    entries = st.lists(st.integers(-9, 9), min_size=width, max_size=width).map(tuple)
+    rows = sorted([(e, data.draw(entries)) for e in exps])
+    prec = data.draw(st.one_of(st.none(), st.integers(-5, 6)))
+    built = LaurentSeries.build(ring, {e: _coeff_of_row(ring, den, p) for e, p in rows}, prec)
+    below = [(e, p) for e, p in rows if prec is None or e < prec]
+    assert built == LaurentSeries.from_rows(ring, den, below, prec)
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -163,7 +202,7 @@ def test_dlog_residue_is_valuation():
 def test_covering_scales_exponents_and_prec():
     s = S({-1: 2, 3: 1}, prec=5)
     c = s.covering(3)
-    assert c.as_dict().keys() == {-3, 9}
+    assert dict(c.terms).keys() == {-3, 9}
     assert c.prec == 15
 
 
