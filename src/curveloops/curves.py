@@ -2,18 +2,16 @@
 
 Supported curves: the affine line, the punctured line (multiplicative
 group), and hyperelliptic curves y^2 = h(x) with h monic, squarefree, of
-degree >= 3.  Each curve carries explicit Laurent expansions of its
-coordinates around every puncture of the proper model, expanded when first
-read; loops are coordinate series satisfying the defining equation, and
-classification reads the component invariant (arc, or puncture plus pole
-order) off valuations.
+degree >= 3.  Each curve carries a chart at every puncture of the proper
+model: the local x and the branch of y there.  Loops are coordinate
+series satisfying the defining equation, and classification reads the
+component invariant (arc, or puncture plus pole order) off valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -41,39 +39,14 @@ A1_CONNECTED = "a1"
 
 @dataclass(frozen=True)
 class PunctureChart:
-    """Coordinate expansions in the local parameter at a puncture.
-
-    ``x_pole_order`` is the ramification constant: the pole order of the
-    affine coordinate x along an order-1 loop through this puncture.
-
-    On a hyperelliptic curve ``y`` is sign * u^(-e) * sqrt(w(u)), with
-    w = u^(2e) h(x(u)) and e = d (odd d) or d/2 (even d).  It is expanded
-    to max(DEFAULT_PREC, 2e + 1) terms and checked against y^2 = h(x) on
-    its first read, and kept on the chart; ``h`` and ``sign`` say what to
-    expand, and ``y`` takes no part in ``==``, ``hash`` or ``repr``.  On a1
-    and gm ``y`` is None.
-    """
+    """A puncture of the proper model: its ``label``, the affine x as a
+    series in the local parameter, and the ``branch`` that ``lift_x``
+    takes there (+1, except -1 at infinity-).  The chart stores no y: a
+    hyperelliptic puncture's y is expanded by ``puncture_loop``."""
 
     label: str
     x: LaurentSeries
-    x_pole_order: int
-    h: tuple[Fraction, ...] = field(default=(), repr=False)
-    sign: int = field(default=1, repr=False)
-
-    @cached_property
-    def y(self) -> LaurentSeries | None:
-        if not self.h:
-            return None
-        d = len(self.h) - 1
-        e = d if d % 2 else d // 2
-        # w = 1 + a_{d-1} u^k + ... + a_0 u^(dk), k = x_pole_order
-        k = self.x_pole_order
-        w = LaurentSeries.build(RATIONAL, {k * (d - i): c for i, c in enumerate(self.h)})
-        # y^2 - h(x) is known below prec - 2e, so 2e + 1 terms certify it
-        y = _series.sqrt(w, prec=max(DEFAULT_PREC, 2 * e + 1), branch=self.sign).shift(-e)
-        if not _satisfies(self.h, self.x, y):
-            raise AssertionError("puncture chart fails the curve equation")
-        return y
+    branch: int = 1
 
 
 @dataclass(frozen=True)
@@ -209,15 +182,15 @@ def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
 
 def make_curve(kind: str, h: Iterable[Fraction | int] | None = None) -> Curve:
     """Build a catalog curve, "a1", "gm" or "hyp" with the ascending
-    coefficients ``h`` of y^2 = h(x).  Its charts are expanded and checked
-    on first read (see ``PunctureChart``)."""
+    coefficients ``h`` of y^2 = h(x).  No series is expanded: each
+    puncture's chart is its local x and branch (see ``puncture_loop``)."""
     if kind == AFFINE_LINE:
-        chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), 1)
+        chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1))
         return Curve(kind, (), 0, (chart,))
     if kind == MULTIPLICATIVE:
         charts = (
-            PunctureChart("0", LaurentSeries.monomial(RATIONAL, 1), 1),
-            PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1), 1),
+            PunctureChart("0", LaurentSeries.monomial(RATIONAL, 1)),
+            PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1)),
         )
         return Curve(kind, (), 0, charts)
     if kind != HYPERELLIPTIC:
@@ -238,13 +211,13 @@ def make_curve(kind: str, h: Iterable[Fraction | int] | None = None) -> Curve:
 
     if d % 2 == 1:
         # one point at infinity: x = u^-2, y = u^-d * s(u)
-        charts = (PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -2), 2, hh, 1),)
+        charts = (PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -2)),)
     else:
         # two points at infinity: x = u^-1, y = +/- u^(-d/2) * s(u)
         x = LaurentSeries.monomial(RATIONAL, -1)
         charts = (
-            PunctureChart("infinity+", x, 1, hh, 1),
-            PunctureChart("infinity-", x, 1, hh, -1),
+            PunctureChart("infinity+", x),
+            PunctureChart("infinity-", x, -1),
         )
     return Curve(HYPERELLIPTIC, hh, genus, charts)
 
@@ -263,8 +236,9 @@ def check_on_curve(loop: Loop) -> bool:
     - ``lift_x``, when the precision of y^2 - h(x), min(prec h(x),
       prec y + ord_min y) by the product rule, is exact or positive:
       ``sqrt`` certifies y^2 = h(x) below exactly that precision.
-    - ``puncture_loop``: reading ``PunctureChart.y`` checks the chart.
-    - ``point_loop``, through ``lift_x``.
+    - ``puncture_loop`` and ``point_loop`` on a hyperelliptic curve,
+      through ``lift_x``; ``puncture_loop`` on a1 and gm, whose x = z^+-1
+      passes the check.
     - ``forms._verify_third_kind``'s loop at the conjugate (a, -b) of a
       lifted point: y -> -y leaves y^2, so the check, unchanged.
     - ``cover_loop`` of a marked loop: z -> z^n maps the check term by
@@ -287,13 +261,9 @@ def check_on_curve(loop: Loop) -> bool:
         except ZeroSeries:
             return False
         return loop.x.coeff(v).is_unit()
-    return loop.y is not None and _satisfies(curve.h, loop.x, loop.y)
-
-
-def _satisfies(h: Sequence[Fraction], x: LaurentSeries, y: LaurentSeries) -> bool:
-    """y^2 = h(x) as far as it is known; raises ``InsufficientPrecision``
-    when that is not past z^0."""
-    r = y * y - eval_poly_at_series(h, x)
+    if loop.y is None:
+        return False
+    r = loop.y * loop.y - eval_poly_at_series(curve.h, loop.x)
     if not r.zero_to_prec():
         return False
     if r.prec is not None and r.prec <= 0:
@@ -381,9 +351,23 @@ def lift_x(curve: Curve, x: LaurentSeries, branch: int = 1, prec: int | None = N
 
 
 def puncture_loop(curve: Curve, label: str) -> Loop:
-    """The order-1 local loop through a puncture (its chart expansions)."""
+    """The order-1 local loop through a puncture, marked as on the curve.
+
+    On a hyperelliptic curve of degree d it is ``lift_x`` of the chart's
+    x on its branch, to max(DEFAULT_PREC, 2e + 1) terms, e = d for odd d
+    and d/2 for even d: h(x) has a pole of order 2e, so y^2 - h(x) is
+    certified below the number of terms minus 2e, which is positive.
+    ``AssertionError`` if the lift is not marked.
+    """
     chart = curve.puncture(label)
-    return _loop(curve, chart.x, chart.y, True)
+    if curve.kind != HYPERELLIPTIC:
+        return _loop(curve, chart.x, None, True)
+    d = curve.degree
+    e = d if d % 2 else d // 2
+    loop = lift_x(curve, chart.x, chart.branch, max(DEFAULT_PREC, 2 * e + 1))
+    if not loop._certified:
+        raise AssertionError("puncture chart fails the curve equation")
+    return loop
 
 
 def point_loop(curve: Curve, point: tuple[Fraction, ...]) -> Loop:

@@ -165,28 +165,27 @@ def _is_product(p: LaurentSeries, pos: tuple[tuple[int, Coeff], ...]) -> bool:
     nil = [j for j, b in pos if b.is_nilpotent()]
     cut = max(deg, units + sum(nlargest((ring.order or 1) - 1, nil))) + 1
     one = Coeff.one(ring)
-    return reconstruct(NormalForm(ring, one, 0, (), pos), prec=cut) == p.truncate(cut)
+    return reconstruct(NormalForm(ring, one, 0, (), pos, cut)) == p.truncate(cut)
 
 
-def reconstruct(nf: NormalForm, prec: int | None = None) -> LaurentSeries:
+def reconstruct(nf: NormalForm) -> LaurentSeries:
     """Expand the factorization back into a series.
 
-    The result is truncated at ``prec`` when given, else at ``nf.prec``
-    (exact forms reconstruct exactly).  The negative factors lower
-    exponents by at most sum(i), so for a cut at N the unit times the
-    positive factors is needed only below N - order + sum(i), and each
-    product drops what lies past its own precision.
+    The result is truncated at ``nf.prec`` (exact forms reconstruct
+    exactly).  The negative factors lower exponents by at most sum(i), so
+    for a cut at N the unit times the positive factors is needed only
+    below N - order + sum(i), and each product drops what lies past its
+    own precision.
     """
     ring = nf.ring
-    cut = prec if prec is not None else nf.prec
     out = LaurentSeries.constant(ring, nf.unit)
-    if cut is not None:
-        out = out.truncate(cut - nf.order + sum([i for i, _ in nf.neg]))
+    if nf.prec is not None:
+        out = out.truncate(nf.prec - nf.order + sum([i for i, _ in nf.neg]))
     for j, b in nf.pos:
         out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), j: -b})
     for i, a in nf.neg:
         out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), -i: -a})
-    return out.shift(nf.order).truncate(cut)
+    return out.shift(nf.order).truncate(nf.prec)
 
 
 def order_of(alpha: LaurentSeries) -> int:

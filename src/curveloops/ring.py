@@ -131,6 +131,16 @@ def payload_is_nilpotent(ring: Ring, p: Sequence[int]) -> bool:
     return not any(p)
 
 
+def payload_at(c: Sequence[int], p: int, q: int, d: int) -> int:
+    """sum c_i p^i q^(d-i) for the ascending Q[t] payload ``c`` of degree
+    at most d: q^d times c at t = p/q, by Horner's rule."""
+    acc, qpow = 0, 1
+    for ci in reversed(c):
+        acc = acc * p + ci * qpow
+        qpow *= q
+    return acc * q ** (d + 1 - len(c))
+
+
 def _reduced(ring: Ring, den: int, payload: Sequence[int]) -> "Coeff":
     """The ``Coeff`` payload / den (den != 0) in canonical form."""
     den, rows = canonical(ring, den, ((0, payload),))
@@ -333,12 +343,9 @@ class Coeff:
         if not self.payload:
             return Coeff.zero(RATIONAL)
         t0 = Fraction(t0)
-        p, q = t0.numerator, t0.denominator
-        acc, qpow = 0, 1
-        for c in reversed(self.payload):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return _reduced(RATIONAL, self.den * (qpow // q), (acc,))
+        d = len(self.payload) - 1
+        value = payload_at(self.payload, t0.numerator, t0.denominator, d)
+        return _reduced(RATIONAL, self.den * t0.denominator**d, (value,))
 
     def as_fraction(self) -> Fraction:
         """The value of a rational (or constant) coefficient: over

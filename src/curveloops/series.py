@@ -52,6 +52,7 @@ from .ring import (
     Scalar,
     canonical,
     packed_mul,
+    payload_at,
     payload_is_nilpotent,
 )
 
@@ -400,8 +401,7 @@ class LaurentSeries:
         t0 = Fraction(t0)
         p, q = t0.numerator, t0.denominator
         d = max([len(c) for _, c in self.rows], default=1) - 1
-        powers = [p**i * q ** (d - i) for i in range(d + 1)]
-        rows = [(e, (sum([c * w for c, w in zip(cs, powers)]),)) for e, cs in self.rows]
+        rows = [(e, (payload_at(cs, p, q, d),)) for e, cs in self.rows]
         return LaurentSeries.from_rows(RATIONAL, self.den * q**d, rows, self.prec)
 
 

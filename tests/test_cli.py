@@ -203,6 +203,33 @@ def test_prec_1_is_accepted():
     assert (code, text) == (0, "unit=1 order=0 neg={} pos={} (mod O(z^1))\n")
 
 
+# classify, residue and family read --prec only to lift y; on argv that
+# lift nothing it is accepted and changes no byte of the answer
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        pytest.param(argv, text, id=" ".join(argv))
+        for argv, text in [
+            (["classify", "--curve", "gm", "--x", "z", "--prec", "1"], "class=Pole punct=0 order=1\n"),
+            (
+                ["family", "--curve", "gm", "--x", "z + t", "--t", "1", "--prec", "1"],
+                "t=1 class=Arc\njumps=none\n",
+            ),
+            (
+                [
+                    "classify", "--curve", "hyp:h=x^3+1", "--x", "z^-2",
+                    "--y", "z^-3 + 1/2*z^3 + O(z^4)", "--prec", "1",
+                ],
+                "class=Pole punct=infinity order=1\n",
+            ),
+        ]
+    ],
+)
+def test_prec_without_a_lift_changes_nothing(argv, text):
+    i = argv.index("--prec")
+    assert run(argv) == run(argv[:i] + argv[i + 2:]) == (0, text)
+
+
 @pytest.mark.parametrize(
     "argv,text",
     [

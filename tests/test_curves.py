@@ -121,19 +121,17 @@ def test_puncture_labels():
 def test_chart_expansions_satisfy_equation():
     for curve in (HYP3, HYP4):
         for chart in curve.punctures:
-            assert check_on_curve(Loop(curve, chart.x, chart.y))
+            y = puncture_loop(curve, chart.label).y
+            assert check_on_curve(Loop(curve, chart.x, y))
     # odd degree: x = u^-2, y = u^-3 (1 + ...)
     chart = HYP3.puncture("infinity")
     assert chart.x == S({-2: 1})
-    assert chart.y.coeff(-3).as_fraction() == 1
-    assert chart.x_pole_order == 2
+    assert puncture_loop(HYP3, "infinity").y.coeff(-3).as_fraction() == 1
     # even degree: x = u^-1, y = +-u^-2 (1 + ...)
     plus = HYP4.puncture("infinity+")
-    minus = HYP4.puncture("infinity-")
     assert plus.x == S({-1: 1})
-    assert plus.y.coeff(-2).as_fraction() == 1
-    assert minus.y.coeff(-2).as_fraction() == -1
-    assert plus.x_pole_order == 1
+    assert puncture_loop(HYP4, "infinity+").y.coeff(-2).as_fraction() == 1
+    assert puncture_loop(HYP4, "infinity-").y.coeff(-2).as_fraction() == -1
 
 
 # -- membership -----------------------------------------------------------------

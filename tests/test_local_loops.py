@@ -1,15 +1,25 @@
-"""Local loops are expanded once, and only when read: puncture charts on
-first read of ``y``, one lift per affine point, one loop per place in the
-third-kind verification."""
+"""Local loops are expanded once, and only when built: one lift per
+puncture loop and per affine point, one loop per place in the third-kind
+verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from curveloops import cli, curves, forms, series
 from curveloops.cli import run
-from curveloops.curves import Loop, _loop, make_curve, point_loop
-from curveloops.errors import NoRationalSquareRoot, OddValuation
+from curveloops.curves import (
+    ComponentClass,
+    Loop,
+    _loop,
+    classify_loop,
+    lift_x,
+    make_curve,
+    point_loop,
+    puncture_loop,
+)
+from curveloops.errors import NotSquarefree, NoRationalSquareRoot, OddValuation
 from curveloops.ring import RATIONAL
 from curveloops.series import LaurentSeries
 
@@ -35,7 +45,8 @@ def lift_calls(monkeypatch):
     real = curves.lift_x
 
     def counted(curve, x, *args, **kwargs):
-        calls.append(x.coeff(0).as_fraction())
+        # a puncture's x has a pole; a point's x = a + z is noted as a
+        calls.append("pole" if x.valuation() < 0 else x.coeff(0).as_fraction())
         return real(curve, x, *args, **kwargs)
 
     monkeypatch.setattr(curves, "lift_x", counted)
@@ -62,11 +73,15 @@ def test_curves_and_census_expand_no_chart(sqrt_calls):
 
 
 def test_chart_y_is_expanded_once(sqrt_calls):
-    chart = make_curve("hyp", (-1, 0, 0, 0, 1)).puncture("infinity-")
-    first = chart.y
-    assert len(sqrt_calls) == 1
-    assert chart.y is first
-    assert len(sqrt_calls) == 1
+    curve = make_curve("hyp", (-1, 0, 0, 0, 1))
+    assert [(c.label, c.x, c.branch) for c in curve.punctures] == [
+        ("infinity+", LaurentSeries.monomial(RATIONAL, -1), 1),
+        ("infinity-", LaurentSeries.monomial(RATIONAL, -1), -1),
+    ]
+    assert sqrt_calls == []
+    for n, chart in enumerate(curve.punctures, 1):
+        puncture_loop(curve, chart.label)
+        assert len(sqrt_calls) == n
 
 
 def eager_chart_y(h, label):
@@ -99,15 +114,50 @@ def eager_chart_y(h, label):
 def test_chart_y_matches_the_eager_expansion(h):
     curve = make_curve("hyp", h)
     for chart in curve.punctures:
-        assert chart.y == eager_chart_y(h, chart.label)
-        assert chart.y.prec == eager_chart_y(h, chart.label).prec
+        y = puncture_loop(curve, chart.label).y
+        assert y == eager_chart_y(h, chart.label)
+        assert y.prec == eager_chart_y(h, chart.label).prec
 
 
 @pytest.mark.parametrize("d", [13, 15, 24, 25, 31])
 def test_charts_certify_at_any_degree(d):
     curve = make_curve("hyp", (1,) + (0,) * (d - 1) + (1,))
     for chart in curve.punctures:
-        assert curves.check_on_curve(Loop(curve, chart.x, chart.y))
+        y = puncture_loop(curve, chart.label).y
+        assert curves.check_on_curve(Loop(curve, chart.x, y))
+
+
+def random_squarefree_h(rng, d):
+    """A monic squarefree h of degree d with small rational coefficients."""
+    while True:
+        h = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(d)] + [1]
+        try:
+            make_curve("hyp", h)
+        except NotSquarefree:
+            continue
+        return tuple(h)
+
+
+SWEEP = [pytest.param((1,) + (0,) * (d - 1) + (1,), id=f"x^{d}+1") for d in range(3, 32)] + [
+    pytest.param(random_squarefree_h(random.Random(100 * d + k), d), id=f"random-d{d}-{k}")
+    for d in range(3, 32)
+    for k in range(3)
+]
+
+
+@pytest.mark.parametrize("h", SWEEP)
+def test_puncture_loop_is_the_lift_on_the_chart(h):
+    """y is lift_x's on the branch of the label (- only at infinity-), to
+    max(24, 2e + 1) terms, marked, and classified back to its puncture."""
+    curve = make_curve("hyp", h)
+    d = len(h) - 1
+    e = d if d % 2 else d // 2
+    for chart in curve.punctures:
+        loop = puncture_loop(curve, chart.label)
+        want = lift_x(curve, chart.x, -1 if chart.label == "infinity-" else 1, max(24, 2 * e + 1))
+        assert loop == want  # rows and prec
+        assert loop._certified
+        assert classify_loop(loop) == ComponentClass.pole(chart.label, 1)
 
 
 # -- one lift per point ---------------------------------------------------------------
@@ -145,7 +195,10 @@ def test_point_loop_raises_as_before(point, error, message):
 )
 def test_third_kind_lifts_once_per_x_value(lift_calls, p, q):
     forms.third_kind(HYP3, p, q)
-    assert sorted(lift_calls) == sorted({p[0]} | ({q[0]} if isinstance(q, tuple) else set()))
+    points = [a for a in lift_calls if a != "pole"]
+    assert sorted(points) == sorted({p[0]} | ({q[0]} if isinstance(q, tuple) else set()))
+    # and once per puncture visited: HYP3 has one, at infinity
+    assert lift_calls.count("pole") == 1
 
 
 def test_negated_conjugate_has_the_lifted_residue():
