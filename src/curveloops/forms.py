@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .curves import (
     HYPERELLIPTIC,
@@ -135,6 +135,49 @@ class XYPoly:
             for i, v in enumerate(row)
             if v
         ])
+
+
+_ONE = XYPoly.const(1)
+
+
+def _times(p: XYPoly, q: XYPoly) -> XYPoly:
+    """p * q, skipping a factor of one: every curve spec and most forms
+    have denominator 1, and (a*1 + b*1, 1*1) is (a + b, 1)."""
+    return q if p == _ONE else p if q == _ONE else p * q
+
+
+class XYQuotient(NamedTuple):
+    """The rational function num/den in x and y, not reduced to lowest
+    terms: the value of a form while it is built.  Its +, -, *, / and **
+    are those of rational functions, not of tuples; dividing by zero, or
+    raising zero to a negative power, raises ``ZeroDivisionError``."""
+
+    num: XYPoly
+    den: XYPoly = _ONE
+
+    def __add__(self, other: "XYQuotient") -> "XYQuotient":
+        num = _times(self.num, other.den) + _times(other.num, self.den)
+        return XYQuotient(num, _times(self.den, other.den))
+
+    def __neg__(self) -> "XYQuotient":
+        return XYQuotient(-self.num, self.den)
+
+    def __sub__(self, other: "XYQuotient") -> "XYQuotient":
+        return self + -other
+
+    def __mul__(self, other: "XYQuotient") -> "XYQuotient":
+        return XYQuotient(_times(self.num, other.num), _times(self.den, other.den))
+
+    def __truediv__(self, other: "XYQuotient") -> "XYQuotient":
+        if other.num.is_zero():
+            raise ZeroDivisionError("division by zero")
+        return XYQuotient(_times(self.num, other.den), _times(self.den, other.num))
+
+    def __pow__(self, n: int) -> "XYQuotient":
+        if n < 0 and self.num.is_zero():
+            raise ZeroDivisionError("division by zero")
+        num, den = [p if p == _ONE else p ** abs(n) for p in (self.num, self.den)]
+        return XYQuotient(num, den) if n >= 0 else XYQuotient(den, num)
 
 
 @dataclass(frozen=True)
@@ -266,22 +309,6 @@ def _place(curve: Curve, place: Place) -> Place:
     return place
 
 
-def _hyp_half_form(a: Fraction, b: Fraction) -> tuple[XYPoly, XYPoly]:
-    """(y + b) / (2y (x - a)): residue 1 at (a, b), 0 at (a, -b)."""
-    num = XYPoly.y() + XYPoly.const(b)
-    den = XYPoly.const(2) * XYPoly.y() * (XYPoly.x() - XYPoly.const(a))
-    return num, den
-
-
-def _combine(parts) -> tuple[XYPoly, XYPoly]:
-    """Sum of weight * num/den fractions, over a common denominator."""
-    num, den = XYPoly.const(0), XYPoly.const(1)
-    for weight, (n, d) in parts:
-        num = num * d + n.scale(weight) * den
-        den = den * d
-    return num, den
-
-
 def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     """A 1-form with residue 1 at p, -1 at q, holomorphic elsewhere.
 
@@ -303,20 +330,24 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     p, q = _place(curve, p), _place(curve, q)
     if p == q:
         raise UnsupportedPointPair("the two places must differ")
-    parts = []
+    x, y = XYPoly.x(), XYPoly.y()
+    total = XYQuotient(XYPoly.const(0))
     infinity_weight = Fraction(0)
     for sign, place in ((1, p), (-1, q)):
         if curve.kind == MULTIPLICATIVE:
             if place != "infinity":
                 a = 0 if place == "0" else place[0]
-                parts.append((sign, (XYPoly.const(1), XYPoly.x() - XYPoly.const(a))))
+                total += XYQuotient(XYPoly.const(sign), x - XYPoly.const(a))
         elif isinstance(place, tuple):
-            parts.append((sign, _hyp_half_form(*place)))
+            # (y + b) / (2y (x - a)): residue 1 at (a, b), 0 at (a, -b)
+            a, b = place
+            half = XYQuotient(y + XYPoly.const(b), XYPoly.const(2) * y * (x - XYPoly.const(a)))
+            total += half if sign > 0 else -half
         elif place != "infinity":
             infinity_weight += Fraction(-sign if place == "infinity+" else sign, 2)
     if infinity_weight:
-        parts.append((infinity_weight, (XYPoly.x(curve.genus), XYPoly.y())))
-    form = MeromorphicForm.build(curve, *_combine(parts))
+        total += XYQuotient(XYPoly.x(curve.genus).scale(infinity_weight), y)
+    form = MeromorphicForm.build(curve, total.num, total.den)
     _verify_third_kind(form, p, q)
     return form
 

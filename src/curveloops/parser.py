@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 
 from .curves import Curve, make_curve
 from .errors import ParseError, RingMismatch
-from .forms import XYPoly
+from .forms import XYPoly, XYQuotient
 from .normal_form import NormalForm
 from .ring import (
     POLY,
@@ -30,234 +31,161 @@ from .ring import (
 )
 from .series import LaurentSeries
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),=]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^(),=])|(\S))")
+_KINDS = (None, "int", "name", "sym")
 
 #: The nilpotency order k of Q[eps]/(eps^k) for a series that uses eps
 #: and names no ring.
 INFERRED_NILPOTENCY = 3
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (kind, value, position)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
-                break
-            if m.group(1):
-                self.items.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.items.append(("name", m.group(2), m.start(2)))
-            else:
-                self.items.append(("sym", m.group(3), m.start(3)))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        return self.items[self.index] if self.index < len(self.items) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def expect_sym(self, value: str):
-        kind, val, pos = self.next()
-        if kind != "sym" or val != value:
-            raise ParseError(f"expected {value!r}", pos)
-
-    def done(self) -> bool:
-        return self.index >= len(self.items)
-
-
-class _SeriesAlgebra:
-    """Expression values are Laurent series over a fixed ring."""
-
-    def __init__(self, ring: Ring):
-        self.ring = ring
-
-    def atom(self, name: str, pos: int) -> LaurentSeries:
-        if name == "z":
-            return LaurentSeries.monomial(self.ring, 1)
-        if name == "eps":
-            try:
-                return LaurentSeries.constant(self.ring, Coeff.eps(self.ring))
-            except RingMismatch:
-                raise ParseError(f"eps does not live in the ring {self.ring}", pos) from None
-        if name == "t":
-            if self.ring != POLY:
-                raise ParseError(f"t does not live in the ring {self.ring}", pos)
-            return LaurentSeries.constant(self.ring, Coeff.t())
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def literal(self, value: int) -> LaurentSeries:
-        return LaurentSeries.constant(self.ring, value)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a * b.invert()
-
-    def pow(self, a, n: int):
-        return a ** n
-
-
-_ONE = XYPoly.const(1)
-
-
-def _times(p: XYPoly, q: XYPoly) -> XYPoly:
-    """p * q, skipping a factor of one: every curve spec and most forms
-    have denominator 1, and (a*1 + b*1, 1*1) is (a + b, 1)."""
-    return q if p == _ONE else p if q == _ONE else p * q
-
-
-class _XYAlgebra:
-    """Expression values are rational functions (num, den) in x and y."""
-
-    def atom(self, name: str, pos: int):
-        if name == "x":
-            return (XYPoly.x(), _ONE)
-        if name == "y":
-            return (XYPoly.y(), _ONE)
-        raise ParseError(f"unknown symbol {name!r}", pos)
-
-    def literal(self, value: int):
-        return (XYPoly.const(value), _ONE)
-
-    def add(self, a, b):
-        return (_times(a[0], b[1]) + _times(b[0], a[1]), _times(a[1], b[1]))
-
-    def sub(self, a, b):
-        return self.add(a, (-b[0], b[1]))
-
-    def neg(self, a):
-        return (-a[0], a[1])
-
-    def mul(self, a, b):
-        return (_times(a[0], b[0]), _times(a[1], b[1]))
-
-    def div(self, a, b):
-        if b[0].is_zero():
-            raise ParseError("division by zero", 0)
-        return (_times(a[0], b[1]), _times(a[1], b[0]))
-
-    def pow(self, a, n: int):
-        if n < 0 and a[0].is_zero():
-            raise ParseError("division by zero", 0)
-        num, den = [p if p == _ONE else p ** abs(n) for p in a]
-        return (num, den) if n >= 0 else (den, num)
-
-
 class _ExprParser:
-    def __init__(self, tokens: _Tokens, algebra, on_big_o=None):
-        self.tokens = tokens
-        self.algebra = algebra
-        self.on_big_o = on_big_o  # callback(N); None disables O(...) tails
+    """Recursive descent over the tokens of ``text``.  Values combine with
+    their own +, -, *, / and **; ``atom(kind, text, pos)`` gives the value
+    of an "int" or a "name" token.  With ``big_o`` a sum may end in an
+    ``O(z^N)`` term, whose N is kept in ``prec``."""
+
+    def __init__(self, text: str, atom, big_o: bool = False):
+        self.tokens: list[tuple] = []  # (kind, text, position)
+        for m in _TOKEN.finditer(text):
+            group = m.lastindex
+            if group == 4:
+                raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+            self.tokens.append((_KINDS[group], m.group(group), m.start(group)))
+        # the end of the text: every caller that steps past it raises
+        self.tokens.append((None, None, len(text)))
+        self.index = 0
+        self.atom = atom
+        self.big_o = big_o
+        self.prec: int | None = None
+
+    def peek(self) -> tuple:
+        return self.tokens[self.index]
+
+    def next(self) -> tuple:
+        self.index += 1
+        return self.tokens[self.index - 1]
+
+    def accept(self, sym: str) -> bool:
+        """Step over the symbol ``sym`` if it comes next (no int or name
+        token spells a symbol)."""
+        if self.tokens[self.index][1] == sym:
+            self.index += 1
+            return True
+        return False
+
+    def expect(self, sym: str) -> None:
+        if not self.accept(sym):
+            raise ParseError(f"expected {sym!r}", self.peek()[2])
+
+    def parse(self):
+        """The value of the whole text; None for a series that is only an
+        ``O(z^N)`` term.  Input nested deeper than the interpreter's
+        recursion limit allows, and a division by zero, are parse errors."""
+        try:
+            value = self.parse_sum()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 0) from None
+        except ZeroDivisionError:
+            raise ParseError("division by zero", 0) from None
+        kind, _, pos = self.peek()
+        if kind is not None:
+            raise ParseError("trailing input", pos)
+        return value
 
     def parse_sum(self):
         value = None
-        first = True
         while True:
-            kind, val, pos = self.tokens.peek()
-            if first:
-                sign = 1
-                if kind == "sym" and val in "+-":
-                    self.tokens.next()
-                    sign = -1 if val == "-" else 1
-            else:
-                if kind != "sym" or val not in "+-":
-                    break
-                self.tokens.next()
-                sign = -1 if val == "-" else 1
-            kind, val, pos = self.tokens.peek()
-            if kind == "name" and val == "O" and self.on_big_o is not None:
-                if sign < 0:
+            negative = self.peek()[1] == "-"
+            if not (self.accept("+") or self.accept("-")) and value is not None:
+                return value
+            kind, val, pos = self.peek()
+            if kind == "name" and val == "O" and self.big_o:
+                if negative:
                     raise ParseError("O(...) cannot be subtracted", pos)
                 self._parse_big_o()
-                if not self.tokens.done():
-                    raise ParseError("O(...) must be the final term", self.tokens.peek()[2])
-                break
+                kind, _, pos = self.peek()
+                if kind is not None:
+                    raise ParseError("O(...) must be the final term", pos)
+                return value
             term = self.parse_product()
-            if sign < 0:
-                term = self.algebra.neg(term)
-            value = term if value is None else self.algebra.add(value, term)
-            first = False
-        if value is None and self.on_big_o is None:
-            raise ParseError("empty expression", self.tokens.peek()[2])
-        return value
+            if value is None:
+                value = -term if negative else term
+            else:
+                value = value - term if negative else value + term
 
     def _parse_big_o(self):
-        self.tokens.next()  # O
-        self.tokens.expect_sym("(")
-        kind, val, pos = self.tokens.next()
+        self.index += 1  # O
+        self.expect("(")
+        kind, val, pos = self.next()
         if kind != "name" or val != "z":
             raise ParseError("O(...) takes a power of z", pos)
-        n = 1
-        kind, val, _ = self.tokens.peek()
-        if kind == "sym" and val == "^":
-            self.tokens.next()
-            n = self._parse_int()
-        self.tokens.expect_sym(")")
-        self.on_big_o(n)
+        self.prec = self._parse_int() if self.accept("^") else 1
+        self.expect(")")
 
     def parse_product(self):
         value = self.parse_factor()
         while True:
-            kind, val, pos = self.tokens.peek()
-            if kind == "sym" and val == "*":
-                self.tokens.next()
-                value = self.algebra.mul(value, self.parse_factor())
-            elif kind == "sym" and val == "/":
-                self.tokens.next()
-                value = self.algebra.div(value, self.parse_factor())
+            if self.accept("*"):
+                value = value * self.parse_factor()
+            elif self.accept("/"):
+                value = value / self.parse_factor()
             else:
                 return value
 
     def parse_factor(self):
         value = self.parse_atom()
-        kind, val, _ = self.tokens.peek()
-        if kind == "sym" and val == "^":
-            self.tokens.next()
-            value = self.algebra.pow(value, self._parse_int())
+        if self.accept("^"):
+            value = value ** self._parse_int()
         return value
 
     def _parse_int(self) -> int:
-        sign = 1
-        kind, val, pos = self.tokens.next()
-        if kind == "sym" and val in "+-":
-            sign = -1 if val == "-" else 1
-            kind, val, pos = self.tokens.next()
+        kind, val, pos = self.next()
+        negative = val == "-"
+        if val in ("+", "-"):
+            kind, val, pos = self.next()
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
-        return sign * int(val)
+        return -int(val) if negative else int(val)
 
     def parse_atom(self):
-        kind, val, pos = self.tokens.next()
-        if kind == "sym" and val == "-":
-            return self.algebra.neg(self.parse_factor())
-        if kind == "sym" and val == "(":
+        kind, val, pos = self.next()
+        if val == "-":
+            return -self.parse_factor()
+        if val == "(":
             value = self.parse_sum()
-            self.tokens.expect_sym(")")
+            self.expect(")")
             return value
-        if kind == "int":
-            return self.algebra.literal(int(val))
-        if kind == "name":
-            return self.algebra.atom(val, pos)
-        raise ParseError("expected a value", pos)
+        if kind is None or kind == "sym":
+            raise ParseError("expected a value", pos)
+        return self.atom(kind, val, pos)
+
+
+def _series_atom(ring: Ring, kind: str, text: str, pos: int) -> LaurentSeries:
+    if kind == "int":
+        return LaurentSeries.constant(ring, int(text))
+    if text == "z":
+        return LaurentSeries.monomial(ring, 1)
+    if text == "eps":
+        try:
+            return LaurentSeries.constant(ring, Coeff.eps(ring))
+        except RingMismatch:
+            raise ParseError(f"eps does not live in the ring {ring}", pos) from None
+    if text == "t":
+        if ring != POLY:
+            raise ParseError(f"t does not live in the ring {ring}", pos)
+        return LaurentSeries.constant(ring, Coeff.t())
+    raise ParseError(f"unknown symbol {text!r}", pos)
+
+
+def _xy_atom(kind: str, text: str, pos: int) -> XYQuotient:
+    if kind == "int":
+        return XYQuotient(XYPoly.const(int(text)))
+    if text == "x":
+        return XYQuotient(XYPoly.x())
+    if text == "y":
+        return XYQuotient(XYPoly.y())
+    raise ParseError(f"unknown symbol {text!r}", pos)
 
 
 def infer_ring(text: str) -> Ring:
@@ -273,41 +201,21 @@ def infer_ring(text: str) -> Ring:
     return RATIONAL
 
 
-def _parse(parser: _ExprParser):
-    """``parser.parse_sum()``; input nested deeper than the interpreter's
-    recursion limit allows is a parse error."""
-    try:
-        return parser.parse_sum()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", 0) from None
-
-
 def parse_series(text: str, ring: Ring | None = None) -> LaurentSeries:
     """Parse a series literal; the ring is inferred unless given."""
     if ring is None:
         ring = infer_ring(text)
-    tokens = _Tokens(text)
-    prec_box: list[int | None] = [None]
-
-    def on_big_o(n: int):
-        prec_box[0] = n
-
-    value = _parse(_ExprParser(tokens, _SeriesAlgebra(ring), on_big_o))
-    if not tokens.done():
-        raise ParseError("trailing input", tokens.peek()[2])
+    parser = _ExprParser(text, partial(_series_atom, ring), big_o=True)
+    value = parser.parse()
     if value is None:
         value = LaurentSeries.zero(ring)
-    return value.truncate(prec_box[0])
+    return value.truncate(parser.prec)
 
 
 def parse_xy_rational(text: str) -> tuple[XYPoly, XYPoly]:
     """Parse a rational function in x and y (an optional trailing dx is eaten)."""
-    text = re.sub(r"\bdx\s*$", "", text.strip())
-    tokens = _Tokens(text)
-    value = _parse(_ExprParser(tokens, _XYAlgebra()))
-    if not tokens.done():
-        raise ParseError("trailing input", tokens.peek()[2])
-    return value
+    value = _ExprParser(re.sub(r"\bdx\s*$", "", text.strip()), _xy_atom).parse()
+    return value.num, value.den
 
 
 def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
@@ -318,7 +226,7 @@ def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
     rows = num.series.rows
     if rest or j or len(c) > 1 or (rows and rows[-1][0]):
         raise ParseError("expected a polynomial in x", 0)
-    if den != _ONE:
+    if den.series.den != c[0]:  # den is not one
         num = num.scale(Fraction(den.series.den, c[0]))
         rows = num.series.rows
     return tuple([Fraction(v, num.series.den) for v in (rows[0][1] if rows else (0,))])

@@ -147,15 +147,6 @@ def _reduced(ring: Ring, den: int, payload: Sequence[int]) -> "Coeff":
     return Coeff(ring, den, rows[0][1]) if rows else Coeff.zero(ring)
 
 
-def integer_rows(rows):
-    """(den, int rows) for (i, row) pairs of rationals: every entry times
-    the least common denominator ``den`` of all of them."""
-    # a list, not a generator: star-unpacking a generator builds a guessed
-    # size-10 tuple and resizes it, which strands tuples on the free lists
-    den = lcm(*[q.denominator for _, row in rows for q in row])
-    return den, [(i, [q.numerator * (den // q.denominator) for q in row]) for i, row in rows]
-
-
 def _pack(rows, stride: int, width: int) -> int:
     """The int whose ``width``-byte slot i*stride + j holds rows[i][j]."""
     size = (rows[-1][0] + 1) * stride * width
@@ -296,7 +287,9 @@ class Coeff:
         return _reduced(self.ring, den, payload)
 
     def __neg__(self) -> "Coeff":
-        # tuple([...]), not tuple(<generator>): see integer_rows
+        # tuple([...]), not tuple(<generator>): a tuple built from a
+        # generator starts at a guessed size of 10 and is resized, which
+        # strands tuples on the free lists
         return Coeff(self.ring, self.den, tuple([-v for v in self.payload]))
 
     def __sub__(self, other: "Coeff") -> "Coeff":
@@ -369,8 +362,9 @@ class Coeff:
 
 def _from_scalars(ring: Ring, values: Iterable[Scalar]) -> Coeff:
     """The coefficient whose payload has these rational entries."""
-    den, ((_, payload),) = integer_rows([(0, [Fraction(c) for c in values])])
-    return _reduced(ring, den, payload)
+    entries = [Fraction(c) for c in values]
+    den = lcm(*[q.denominator for q in entries])
+    return _reduced(ring, den, [q.numerator * (den // q.denominator) for q in entries])
 
 
 def _power(symbol: str, n: int) -> str:

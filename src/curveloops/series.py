@@ -204,7 +204,7 @@ class LaurentSeries:
         return LaurentSeries.from_rows(self.ring, den, rows, prec)
 
     def __neg__(self) -> "LaurentSeries":
-        # tuple([...]), not tuple(<generator>): see ring.integer_rows
+        # tuple([...]), not tuple(<generator>): see ring.Coeff.__neg__
         rows = tuple([(e, tuple([-v for v in p])) for e, p in self.rows])
         return LaurentSeries(self.ring, self.den, rows, self.prec)
 
@@ -249,6 +249,9 @@ class LaurentSeries:
             [(base + m * step, row) for m, row in enumerate(rows)],
             prec,
         )
+
+    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self * other.invert()
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
         """The series times the constant ``c``.  A ``Coeff`` multiplies

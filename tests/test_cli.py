@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveloops import acceptance, cli
 from curveloops.acceptance import GOLDEN_CLI
@@ -343,6 +344,20 @@ def test_parse_error_argv_exits_2(argv, text):
     assert run(argv) == (2, f"parse error: {text} (at position 0)\n")
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        pytest.param(argv, text, id=" ".join(argv))
+        for argv, text in [
+            (["factor", "z  $"], "unexpected character '$' (at position 3)"),
+            (["factor", "z + 1 @ 2"], "unexpected character '@' (at position 6)"),
+        ]
+    ],
+)
+def test_unexpected_character_is_named_at_its_place(argv, text):
+    assert run(argv) == (2, f"parse error: {text}\n")
+
+
 @pytest.mark.parametrize("zero", ["(0)", "0/1", "-0"])
 def test_spellings_of_zero_name_the_puncture_on_the_line(zero):
     for q in ("1", "infinity"):
@@ -526,3 +541,74 @@ def test_thirdkind_residue_corpus(argv, code, text):
     """Exit code and output bytes of ``thirdkind`` and ``residue``, pinned in
     ``cli_corpus.json``."""
     assert run(argv) == (code, text)
+
+
+# -- the exit-code contract, fuzzed -------------------------------------------------
+
+PARSE_CORPUS = json.loads((Path(__file__).parent / "parse_corpus.json").read_text())
+TEXTS = st.sampled_from(sorted({text for text, _ in PARSE_CORPUS["series"] + PARSE_CORPUS["forms"]}))
+#: Loops and forms that most curves accept, so that answers are drawn too.
+LOOPS = st.one_of(st.sampled_from(["z", "z^-1", "z^-2", "1 + z", "z^-2 + z", "z + t", "z^-1 + t*z"]), TEXTS)
+FORMS = st.one_of(st.sampled_from(["1/x", "x", "1/(x - 1)", "y/x", "1/y dx", "x^2/(1 + y)"]), TEXTS)
+CURVES = st.sampled_from(
+    ["a1", "gm", "hyp:h=x^3+1", "hyp:h=x^4-1", "hyp:h=x^5+1", "hyp:h=x^3", "hyp:h=x^3+1/0",
+     "hyp:h=x^2+1", "hyp:h=(x^3+1)/2", "bogus", ""]
+)
+PLACES = st.sampled_from(
+    ["0", "infinity", "infinity+", "infinity-", "1", "-2", "(0,1)", "(0,-1)", "(2,3)", "(-1,0)",
+     "(0,1", "()", "1/0", "-0", "(0,1,5)", "a"]
+)
+#: The optional flags of each subcommand, with the values drawn for them.
+OPTIONS = {
+    "prec": ("--prec", st.sampled_from(["0", "-1", "1", "3", "24", "x"])),
+    "ring": ("--ring", st.sampled_from(["rational", "poly", "nilpotent:1", "nilpotent:2", "nilpotent:x", ""])),
+    "branch": ("--branch", st.sampled_from(["+", "-", "0"])),
+    "y": ("--y", TEXTS),
+    "json": ("--json", st.none()),
+}
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one of the seven subcommands other than ``selftest``: its
+    required arguments, then some of its optional flags."""
+    command = draw(st.sampled_from(["factor", "classify", "residue", "census", "family", "thirdkind", "covers"]))
+    argv = [command]
+    if command == "factor":
+        argv += [draw(TEXTS)]
+        options = ["prec", "ring", "json"]
+    elif command in ("classify", "residue", "family"):
+        argv += ["--curve", draw(CURVES), "--x", draw(LOOPS)]
+        if command == "residue":
+            argv += ["--form", draw(FORMS)]
+        if command == "family":
+            argv += ["--t", draw(st.sampled_from(["0", "0,1", "0,1,-3/2", "1/0", "", "a,1"]))]
+        options = ["prec", "y", "json"] + (["ring", "branch"] if command != "family" else [])
+    elif command == "census":
+        argv += ["--curve", draw(CURVES)]
+        options = ["json"]
+    elif command == "thirdkind":
+        argv += ["--curve", draw(CURVES), "--p", draw(PLACES), "--q", draw(PLACES)]
+        options = ["json"]
+    else:
+        argv += ["--genus", draw(st.sampled_from(["0", "1", "2", "-1", "x"]))]
+        argv += ["--symmetric", draw(st.sampled_from(["0", "1", "3", "4", "-1"]))]
+        options = ["json"]
+    for name in draw(st.lists(st.sampled_from(options), unique=True)):
+        flag, values = OPTIONS[name]
+        value = draw(values)
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=200, deadline=None)
+def test_every_argv_ends_with_0_1_or_2(argv):
+    """``run`` never raises, and a nonzero exit prints nothing (an argparse
+    usage error) or one line that starts ``error: `` or ``parse error: ``."""
+    code, text = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert text == "" or (
+            text.startswith(("error: ", "parse error: ")) and text.index("\n") == len(text) - 1
+        )

@@ -4,7 +4,7 @@ canonical integer-row form of series, and the degree certificate of
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from curveloops.ring import (
     POLY,
     RATIONAL,
     Coeff,
-    integer_rows,
     nilpotent_ring,
     packed_mul,
 )
@@ -69,6 +68,13 @@ def schoolbook_series(f, g):
         else:
             terms[e] = Coeff.nil(f.ring, data)
     return LaurentSeries.build(f.ring, terms, prec)
+
+
+def integer_rows(rows):
+    """(den, int rows) for (i, row) pairs of rationals: every entry times
+    the least common denominator ``den`` of all of them."""
+    den = lcm(*[q.denominator for _, row in rows for q in row])
+    return den, [(i, [q.numerator * (den // q.denominator) for q in row]) for i, row in rows]
 
 
 def kernel(a, b, count, cut=None):

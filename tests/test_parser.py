@@ -1,4 +1,8 @@
+import json
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,3 +198,146 @@ def arbitrary_series(draw):
 @settings(max_examples=80)
 def test_format_parse_roundtrip(s):
     assert parse_series(format_series(s), s.ring) == s
+
+
+# -- the parse corpus -----------------------------------------------------------
+
+#: ``parse_corpus.json`` holds the outcome of every corpus text: under each
+#: of these rings for a series text (None infers it), and as a form for a
+#: form text.  Regenerate it with ``python tests/test_parser.py``.
+CORPUS_PATH = Path(__file__).parent / "parse_corpus.json"
+CORPUS_SEED = 1806
+CORPUS_RINGS = (None, RATIONAL, POLY, nilpotent_ring(2))
+#: Inputs at the edges of the grammar, read both as series and as forms.
+CORPUS_EDGES = (
+    "", " ", "z +", "+", "-", "()", "(z", "z)", "z^", "z^-", "z^q", "2 3", "z z",
+    "O(z^2) + z", "z - O(z^2)", "O(z^2)", "O(z)", "O(x^2)", "O(z^-1)", "-O(z)",
+    "1/0", "0^-1", "0^0", "z^0", "(x - x)^-1", "1/(x - x)", "1/(2*(x - x))^2",
+    "1/(1-z)", "1/(z + z^2)", "(1 - z)^-2", "1/eps", "1/(1 + eps)", "1/t", "1/(1 + t)",
+    "eps + t", "eps^2*z", "t*z + z^2", "w + 1", "x + y", "y^2/x", "x/(1 + y) dx",
+    "1/(2*y) dx", "dx", "x dx", "z  $", "z + 1 @ 2", "$", " \t$", "z\t+\t1", "1/2/3",
+    "2^3^2", "-(-(-z))", "--z", "2*-z", "z^+2", "1 = 2", "(1, 2)", "007", "3/04",
+)
+
+
+def _corpus_atom(rng, names):
+    r = rng.randrange(7)
+    if r == 0:
+        return str(rng.randrange(10))
+    if r == 1:
+        return f"{rng.randrange(10)}/{rng.randrange(20) and rng.randrange(1, 9)}"
+    name = rng.choice(names)
+    low = -3 if name in "zx" else -1
+    return name if r < 4 else f"{name}^{rng.randrange(low, 6)}"
+
+
+def _corpus_expr(rng, names, depth):
+    """A sum of products over ``names``: parentheses and unary minus nest at
+    most ``depth`` levels."""
+    terms = []
+    for i in range(rng.randrange(1, 4)):
+        factors = []
+        for _ in range(rng.choice([1, 1, 2, 2, 3])):
+            r = rng.random()
+            if depth and r < 0.2:
+                f = "(" + _corpus_expr(rng, names, depth - 1) + ")"
+                if rng.random() < 0.4:
+                    f += f"^{rng.choice([-2, -1, 0, 1, 2, 3])}"
+            elif depth and r < 0.3:
+                f = "-" + _corpus_atom(rng, names)
+            else:
+                f = _corpus_atom(rng, names)
+            factors.append(f)
+        term = factors[0]
+        for f in factors[1:]:
+            term += rng.choice(["*", "*", " * ", "/"]) + f
+        sign = rng.choice(["+", "-"]) if i or rng.random() < 0.2 else ""
+        terms.append(sign + rng.choice(["", " "]) + term)
+    return rng.choice([" ", ""]).join(terms)
+
+
+def _corpus_mutate(rng, text):
+    """``text`` with one character deleted or inserted, or cut short."""
+    at = rng.randrange(len(text) + 1)
+    r = rng.randrange(3)
+    if r == 0:
+        return text[:at] + text[at + 1:]
+    if r == 1:
+        return text[:at] + rng.choice("+-*/^()$@., =zxyOt1 ") + text[at:]
+    return text[:at]
+
+
+def corpus_texts(count=1500):
+    """(series texts, form texts): ``count`` seeded texts of each, then the
+    edge inputs; one text in five is mutated."""
+    rng = random.Random(CORPUS_SEED)
+    series, forms = [], []
+    for _ in range(count):
+        names = rng.choice([["z"], ["z"], ["z", "eps"], ["z", "t"], ["z", "eps", "t"]])
+        text = _corpus_expr(rng, names, 4)
+        if rng.random() < 0.3:
+            text += f" + O(z^{rng.randrange(-2, 9)})"
+        series.append(_corpus_mutate(rng, text) if rng.random() < 0.2 else text)
+    for _ in range(count):
+        text = _corpus_expr(rng, rng.choice([["x"], ["x", "y"], ["x", "y", "z"]]), 4)
+        if rng.random() < 0.2:
+            text += " dx"
+        forms.append(_corpus_mutate(rng, text) if rng.random() < 0.2 else text)
+    return series + list(CORPUS_EDGES), forms + list(CORPUS_EDGES)
+
+
+def _outcome(parse, *args):
+    try:
+        value = parse(*args)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(value, LaurentSeries):
+        return [format_series(value), str(value.ring), value.prec]
+    return [str(p) for p in value]
+
+
+def corpus_outcomes(series, forms):
+    return {
+        "series": [[text, [_outcome(parse_series, text, ring) for ring in CORPUS_RINGS]] for text in series],
+        "forms": [[text, _outcome(parse_xy_rational, text)] for text in forms],
+    }
+
+
+def test_corpus_file_matches_its_texts():
+    series, forms = corpus_texts()
+    corpus = json.loads(CORPUS_PATH.read_text())
+    assert [text for text, _ in corpus["series"]] == series
+    assert [text for text, _ in corpus["forms"]] == forms
+
+
+def _named_at_its_place(text, outcome):
+    """The recorded outcome, except that an unexpected character is named at
+    its own position: the tokenizer once named the blank before it."""
+    m = re.fullmatch(r"unexpected character '(\s)' \(at position (\d+)\)", outcome[1])
+    if outcome[0] != "ParseError" or m is None:
+        return outcome
+    pos = re.compile(r"\s*").match(text, int(m.group(2))).end()
+    return ["ParseError", f"unexpected character {text[pos]!r} (at position {pos})"]
+
+
+def test_parse_corpus_keeps_its_outcomes():
+    """Every corpus text parses to the recorded value, ring and prec, or
+    raises the recorded exception class and message."""
+    corpus = json.loads(CORPUS_PATH.read_text())
+    got = corpus_outcomes([text for text, _ in corpus["series"]], [text for text, _ in corpus["forms"]])
+    for (text, recorded), (_, outcomes) in zip(corpus["series"], got["series"]):
+        assert outcomes == [_named_at_its_place(text, r) for r in recorded], text
+    for (text, recorded), (_, outcome) in zip(corpus["forms"], got["forms"]):
+        # a form is tokenized after its blanks and a trailing dx are stripped
+        seen = re.sub(r"\bdx\s*$", "", text.strip())
+        assert outcome == _named_at_its_place(seen, recorded), text
+
+
+if __name__ == "__main__":
+    data = corpus_outcomes(*corpus_texts())
+    with CORPUS_PATH.open("w") as out:
+        out.write('{"series": [\n')
+        out.write(",\n".join(json.dumps(entry) for entry in data["series"]))
+        out.write('\n], "forms": [\n')
+        out.write(",\n".join(json.dumps(entry) for entry in data["forms"]))
+        out.write("\n]}\n")
