@@ -17,6 +17,7 @@ from .curves import (
     A1_CONNECTED,
     AFFINE_LINE,
     ARC,
+    HYPERELLIPTIC,
     ComponentClass,
     Curve,
     Loop,
@@ -25,7 +26,8 @@ from .curves import (
     classify_loop,
 )
 from .errors import LoopSpaceError
-from .ring import POLY
+from .ring import POLY, RATIONAL, payload_at
+from .series import LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -82,21 +84,48 @@ def _specialize_loop(loop: Loop, t0: Fraction) -> Loop:
     return _loop(loop.curve, loop.x.specialize(t0), y, loop._certified)
 
 
+def _leading_rows(s: LaurentSeries, t0: Fraction) -> LaurentSeries:
+    """s at t = t0 through its first row e that does not vanish there,
+    known below e + 1; all of s at t0, zero below its precision, when
+    every row vanishes."""
+    p, q = t0.numerator, t0.denominator
+    for e, payload in s.rows:
+        d = len(payload) - 1
+        value = payload_at(payload, p, q, d)
+        if value:
+            return LaurentSeries.from_rows(RATIONAL, s.den * q**d, [(e, (value,))], e + 1)
+    return LaurentSeries(RATIONAL, 1, (), s.prec)
+
+
 def classify_family(loop: Loop, t_values: Iterable[Fraction]) -> FamilyClassification:
     """Classify every fiber of a one-parameter family of loops.
 
     The generic class is the most common one among the sampled fibers;
     fibers with a different class (or a per-fiber error) are reported as
     jumps rather than rejected, since for the affine line jumps are real.
+
+    A fiber is the loop at t = t0 checked with ``check_on_curve`` and
+    classified with ``classify_loop``.  On a1 and gm, and on a marked
+    loop, these read only the lowest exponent of x and y at t0 that does
+    not vanish, its coefficient, and the precision when there is none, so
+    each coordinate is specialised row by row up to that row only (the
+    mark of the parent certifies its fibers; see ``check_on_curve``).  An
+    unmarked loop on a hyperelliptic curve is specialised in full, since
+    its check reads every row.
     """
     if loop.ring != POLY:
         raise ValueError("classify_family needs a loop over Q[t]")
+    leading = loop._certified or loop.curve.kind != HYPERELLIPTIC
     fibers = []
     for t0 in t_values:
         t0 = Fraction(t0)
         try:
-            fiber = _specialize_loop(loop, t0)
-            if not check_on_curve(fiber):
+            if leading:
+                y = None if loop.y is None else _leading_rows(loop.y, t0)
+                fiber = Loop(loop.curve, _leading_rows(loop.x, t0), y)
+            else:
+                fiber = _specialize_loop(loop, t0)
+            if not (loop._certified or check_on_curve(fiber)):
                 fibers.append(FiberResult(t0, None, "fiber leaves the curve"))
                 continue
             fibers.append(FiberResult(t0, classify_loop(fiber)))

@@ -164,17 +164,29 @@ def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
     Horner's rule over the nonzero coefficients only (von zur Gathen &
     Gerhard, *Modern Computer Algebra*, 5.2): a run of zero coefficients
     costs one power x ** gap, so x^20000 + 1 takes O(log 20000) products.
+    A rational leading coefficient scales the first power it meets, with
+    no product.
     """
-    acc, top = LaurentSeries.zero(x.ring), None
+    acc, top = None, None
     for i in range(len(h) - 1, -1, -1):
         c = h[i]
         if not isinstance(c, LaurentSeries):
             if not c:
                 continue
-            c = LaurentSeries.constant(x.ring, c)
-        acc = c if top is None else acc * x ** (top - i) + c
+            if top is not None:
+                c = LaurentSeries.constant(x.ring, c)
+        acc = c if top is None else _times(acc, x ** (top - i)) + c
         top = i
-    return acc * x ** top if top else acc
+    if top is None:
+        return LaurentSeries.zero(x.ring)
+    if top:
+        return _times(acc, x ** top)
+    return acc if isinstance(acc, LaurentSeries) else LaurentSeries.constant(x.ring, acc)
+
+
+def _times(acc, power: LaurentSeries) -> LaurentSeries:
+    """acc * power for a series acc, or ``power.scale(acc)`` for a rational."""
+    return acc * power if isinstance(acc, LaurentSeries) else power.scale(acc)
 
 
 # -- curve construction -------------------------------------------------------

@@ -15,9 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from operator import truediv
 
 from .curves import Curve, make_curve
-from .errors import ParseError, RingMismatch
+from .errors import NotInvertible, ParseError, RingMismatch
 from .forms import XYPoly, XYQuotient
 from .normal_form import NormalForm
 from .ring import (
@@ -129,14 +130,16 @@ class _ExprParser:
             if self.accept("*"):
                 value = value * self.parse_factor()
             elif self.accept("/"):
-                value = value / self.parse_factor()
+                divisor = self.parse_factor()
+                value = _divided(partial(truediv, value, divisor), divisor)
             else:
                 return value
 
     def parse_factor(self):
         value = self.parse_atom()
         if self.accept("^"):
-            value = value ** self._parse_int()
+            n = self._parse_int()
+            value = _divided(partial(pow, value, n), value) if n < 0 else value ** n
         return value
 
     def _parse_int(self) -> int:
@@ -159,6 +162,21 @@ class _ExprParser:
         if kind is None or kind == "sym":
             raise ParseError("expected a value", pos)
         return self.atom(kind, val, pos)
+
+
+def _divided(quotient, divisor):
+    """``quotient()``, a division by ``divisor`` or by a power of it.  A
+    series divisor that is not zero but has no inverse raises
+    ``NotInvertible`` naming the division: the advice of
+    ``LaurentSeries.invert`` is meant for library callers."""
+    try:
+        return quotient()
+    except NotInvertible:
+        if divisor.is_zero():
+            raise
+        raise NotInvertible(
+            "cannot divide by a series whose lowest coefficient is not a unit"
+        ) from None
 
 
 def _series_atom(ring: Ring, kind: str, text: str, pos: int) -> LaurentSeries:

@@ -21,21 +21,33 @@ works on integers only.  An operand is a 2-D array of ints: rows indexed
 by i (the z-exponent of a series, or 0 for a single coefficient), each row
 the payload of one coefficient, so the entry (i, j) is the coefficient of
 z^i y^j, with y standing for 1 (Q), eps or t.  The caller multiplies the
-two denominators, so the kernel never sees a fraction.  Entry (i, j) goes
-to slot i*S + j of one Python int, where S = ra + rb - 1 is the row length
-of the product (no row spills into the next) and every slot has the same
-byte width, wide enough for a signed sum of the largest possible products.  One big-int multiply (a squaring when both
-operands are the same array) then yields every product coefficient in its
-slot.  Slots are read back as signed integers, each negative slot having
-borrowed one from the slot above; entries with j >= k (for eps^k) and rows
-past the requested count are dropped.
+two denominators, so the kernel never sees a fraction.
+
+Only product rows below the requested count are read, so entry (i, j)
+goes to slot i*S + j of one Python int, where the stride S is the longest
+of those rows, max(len a_i + len b_k - 1) over i + k < count (1 over Q,
+2k - 1 over Q[eps]/eps^k; over Q[t] a row's t-degree grows with i), and
+an operand row that meets no row of the other below the count is not
+packed.  Every slot has the same byte width, wide enough for a signed sum
+of the largest possible products, and a width of at most 8 bytes is
+rounded up to 1, 2, 4 or 8.  An operand is written row by row in two's
+complement, through one ``array`` when the slot fits one, and read as one
+int; XOR with the bias B, 2^(8w - 1) in every slot, minus B turns that
+into the signed sum.  One big-int multiply (a squaring when both operands
+are the same array) then yields every product coefficient in its slot.
+The biased product ((P + B) XOR B) cut to the kept slots holds each slot
+in two's complement, with no borrow between slots, so one ``memoryview``
+cast reads every slot of at most 8 bytes and one ``int.from_bytes`` per
+slot the wider ones.  Entries with j >= k (for eps^k) are dropped.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -147,23 +159,46 @@ def _reduced(ring: Ring, den: int, payload: Sequence[int]) -> "Coeff":
     return Coeff(ring, den, rows[0][1]) if rows else Coeff.zero(ring)
 
 
-def _pack(rows, stride: int, width: int) -> int:
-    """The int whose ``width``-byte slot i*stride + j holds rows[i][j]."""
-    size = (rows[-1][0] + 1) * stride * width
-    pos, neg = bytearray(size), bytearray(size)
+#: the array typecode of each signed slot width of at most 8 bytes
+_SLOT_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _pack(rows, stride: int, width: int, bias: int) -> int:
+    """sum rows[i][j] 2^(8 width (i stride + j)) over the (i, row) pairs.
+    Each slot is written in two's complement; ``bias``, the top bit of
+    every slot over at least the rows' span, turns that into the sum."""
+    flat = [0] * ((rows[-1][0] + 1) * stride)
     for i, row in rows:
-        at = i * stride * width
-        for v in row:
-            if v > 0:
-                pos[at:at + width] = v.to_bytes(width, "little")
-            elif v < 0:
-                neg[at:at + width] = (-v).to_bytes(width, "little")
-            at += width
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        at = i * stride
+        flat[at:at + len(row)] = row
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        raw = array(code, flat).tobytes()
+    else:
+        raw = b"".join([v.to_bytes(width, sys.byteorder, signed=True) for v in flat])
+    return (int.from_bytes(raw, sys.byteorder) ^ bias) - bias
 
 
 def _bits(rows) -> int:
     return max([abs(v) for _, row in rows for v in row]).bit_length()
+
+
+def _stride(a, la: list, b, lb: list, count: int) -> int:
+    """max la_i + lb_k - 1 over the rows (i, _) of a and (k, _) of b with
+    i + k < count, for their lengths la and lb: each row of a meets the
+    longest row of b at or below count - 1 - i, a prefix maximum."""
+    ra, rb = max(la), max(lb)
+    if a[la.index(ra)][0] + b[lb.index(rb)][0] < count:
+        return ra + rb - 1  # the longest rows meet below count
+    prefix = list(accumulate(lb, max))
+    stride, k = 0, len(b) - 1
+    for (i, _), n in zip(a, la):
+        while k >= 0 and b[k][0] > count - 1 - i:
+            k -= 1
+        if k < 0:
+            break
+        stride = max(stride, n + prefix[k] - 1)
+    return stride
 
 
 def packed_mul(
@@ -177,31 +212,49 @@ def packed_mul(
     ``a`` and ``b`` list (i, row) pairs, i >= 0 ascending, each row a
     non-empty sequence of ints: row[j] is the coefficient of z^i y^j.
     Returns rows 0 .. count-1 of the product, each holding the
-    coefficients of y^j for j < ``cut`` (all of them when ``cut`` is None).
-    Passing the same object as ``a`` and ``b`` packs it once and squares.
-    See the module docstring for the layout.
+    coefficients of y^j for j < ra + rb - 1, ra and rb the longest rows of
+    ``a`` and ``b``, and j < ``cut`` unless it is None.  Passing the same
+    object as ``a`` and ``b`` packs it once and squares.  See the module
+    docstring for the layout.
     """
     square = a is b
-    ra = max([len(row) for _, row in a])
-    rb = ra if square else max([len(row) for _, row in b])
-    stride = ra + rb - 1
-    keep = stride if cut is None else min(cut, stride)
+    la = [len(row) for _, row in a]
+    lb = la if square else [len(row) for _, row in b]
+    ra, rb = max(la), max(lb)
+    keep = ra + rb - 1 if cut is None else min(cut, ra + rb - 1)
+    # a row meets a row of the other operand below count only below
+    # count - (the other's lowest index); the others are not packed
+    a0, b0 = a[0][0], b[0][0]
+    if a0 + b0 >= count:
+        return [[0] * keep for _ in range(count)]
+    stride = _stride(a, la, b, lb, count)
+    a = [r for r in a if r[0] < count - b0]
+    b = a if square else [r for r in b if r[0] < count - a0]
     bits_a = _bits(a)
     bits_b = bits_a if square else _bits(b)
     # a product entry sums at most this many nonzero products
     terms = min(len(a), len(b)) * min(ra, rb)
     width = (bits_a + bits_b + terms.bit_length() + 8) // 8  # + a sign bit
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: an array slot
+    # every packed row lies below count, so the bias over the kept slots
+    # covers both operands
     slots = count * stride
-    packed = _pack(a, stride, width)
-    product = packed * packed if square else packed * _pack(b, stride, width)
-    raw = (product & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
-    values = []
-    borrow = 0
-    for at in range(0, width * slots, width):
-        s = int.from_bytes(raw[at:at + width], "little", signed=True)
-        values.append(s + borrow)
-        borrow = s < 0
-    return [values[at:at + keep] for at in range(0, slots, stride)]
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    packed = _pack(a, stride, width, bias)
+    product = packed * packed if square else packed * _pack(b, stride, width, bias)
+    size = slots * width
+    raw = (((product + bias) ^ bias) & ((1 << (8 * size)) - 1)).to_bytes(size, sys.byteorder)
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        values = memoryview(raw).cast(code).tolist()
+    else:
+        values = [int.from_bytes(raw[at:at + width], sys.byteorder, signed=True)
+                  for at in range(0, size, width)]
+    if keep <= stride:
+        return [values[at:at + keep] for at in range(0, slots, stride)]
+    pad = [0] * (keep - stride)
+    return [values[at:at + stride] + pad for at in range(0, slots, stride)]
 
 
 @dataclass(frozen=True, slots=True)

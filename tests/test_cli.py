@@ -275,6 +275,12 @@ def test_prec_without_a_lift_changes_nothing(argv, text):
                 "error: the two places must differ\n",
             ),
             (["census", "--curve", "hyp:h=(x^3+1)/2"], "error: h must be monic\n"),
+            # a divisor with no inverse is named as a division, not sent to
+            # the normal form, which factor already is
+            *(
+                (["factor", text], "error: cannot divide by a series whose lowest coefficient is not a unit\n")
+                for text in ("1/(eps + z)", "1/t", "t^-1")
+            ),
         ]
     ],
 )

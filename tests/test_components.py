@@ -10,7 +10,15 @@ from curveloops.components import (
     pi0_census,
     quotient_class,
 )
-from curveloops.curves import ComponentClass, Loop, check_on_curve, cover_loop, lift_x, make_curve
+from curveloops.curves import (
+    ComponentClass,
+    Loop,
+    check_on_curve,
+    classify_loop,
+    cover_loop,
+    lift_x,
+    make_curve,
+)
 from curveloops.errors import LoopSpaceError
 from curveloops.ring import POLY, RATIONAL, Coeff
 from curveloops.series import LaurentSeries
@@ -118,3 +126,78 @@ def test_fibers_of_a_marked_loop_pass_the_full_check(loop, n):
         assert fiber._certified == loop._certified
         if fiber._certified:
             assert check_on_curve(Loop(fiber.curve, fiber.x, fiber.y))
+
+
+# -- family fibers against the full specialisation ----------------------------------------
+
+FAMILY_CURVES = {
+    "a1": make_curve("a1"),
+    "gm": make_curve("gm"),
+    "odd": make_curve("hyp", (1, 0, 0, 1)),
+    "even": make_curve("hyp", (-1, 0, 0, 0, 1)),
+}
+
+
+@st.composite
+def family_loops(draw):
+    """(loop over Q[t], t values): on a1 and gm an unchecked loop, on
+    x^3 + 1 and x^4 - 1 a lift, marked or not, with y sometimes moved off
+    the curve.  On a1, gm and through (0, +-1) on x^3 + 1 the lowest
+    coefficient of x is b (t - root), which vanishes at a sampled root."""
+    name = draw(st.sampled_from(sorted(FAMILY_CURVES)))
+    curve = FAMILY_CURVES[name]
+    root = draw(st.sampled_from(FIBER_TS))
+    vanishing = Coeff.poly([-root, 1]).scale(draw(small.filter(bool)))
+    c = draw(small.filter(bool))
+    if name in ("a1", "gm"):
+        low = draw(st.integers(-3, 3))
+        terms = {low: vanishing if draw(st.booleans()) else Coeff.const(POLY, c)}
+    elif name == "odd" and draw(st.booleans()):
+        low, terms = 1, {1: vanishing}  # an arc through (0, +-1)
+    elif name == "odd":
+        low = -2 * draw(st.integers(1, 2))
+        terms = {low: Coeff.const(POLY, c * c)}
+    else:
+        low = -draw(st.integers(1, 2))
+        terms = {low: Coeff.const(POLY, c * c)}
+    for e in draw(st.sets(st.integers(low + 1, low + 8), max_size=4)):
+        terms.setdefault(e, Coeff.poly(draw(st.lists(small, max_size=3))))
+    x_prec = draw(st.one_of(st.none(), st.integers(1, 20).map(lambda k: low + k)))
+    x = LaurentSeries.build(POLY, terms, x_prec)
+    if name in ("a1", "gm"):
+        loop = Loop(curve, x)
+    else:
+        try:
+            loop = lift_x(curve, x, branch=draw(st.sampled_from([1, -1])), prec=draw(st.integers(1, 24)))
+        except LoopSpaceError:
+            return None
+        if draw(st.booleans()):
+            y = loop.y
+            if draw(st.booleans()):
+                y = y + LaurentSeries.monomial(POLY, draw(st.integers(-6, 6)), Coeff.t())
+            loop = Loop(curve, x, y)  # unmarked
+    loop = cover_loop(loop, draw(st.sampled_from([1, 2])))
+    return loop, (root,) + FIBER_TS
+
+
+def _full_fiber(loop, t0):
+    """(class, error) of the whole fiber: specialise every row, check it on
+    the curve, classify it."""
+    try:
+        fiber = _specialize_loop(loop, t0)
+        if not check_on_curve(fiber):
+            return None, "fiber leaves the curve"
+        return classify_loop(fiber), None
+    except LoopSpaceError as exc:
+        return None, str(exc)
+
+
+@given(family_loops())
+@settings(max_examples=120, deadline=None)
+def test_family_fibers_match_the_full_specialisation(drawn):
+    if drawn is None:
+        return  # no lift
+    loop, ts = drawn
+    result = classify_family(loop, ts)
+    for t0, fiber in zip(ts, result.fibers):
+        assert (fiber.component, fiber.error) == _full_fiber(loop, t0), t0

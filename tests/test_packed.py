@@ -100,13 +100,26 @@ entries = st.one_of(small, large, st.just(Fraction(0)))
 
 @st.composite
 def arrays(draw, row_len=None):
-    """(i, row) pairs, ascending distinct i >= 0; rows may be all zero."""
+    """(i, row) pairs, ascending distinct i >= 0; rows may be all zero.
+    Without ``row_len`` the rows have free lengths, or lengths growing
+    with i, as the t-degree of a series over Q[t] does."""
     idx = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=6)))
+    triangular = row_len is None and draw(st.booleans())
+    first = draw(st.integers(1, 3))
     out = []
     for i in idx:
-        n = row_len if row_len is not None else draw(st.integers(1, 6))
+        if row_len is not None:
+            n = row_len
+        else:
+            n = first + i if triangular else draw(st.integers(1, 6))
         out.append((i, draw(st.lists(entries, min_size=n, max_size=n))))
     return out
+
+
+def counts(a, b):
+    """Row counts up to past the full product, most of them below it."""
+    full = a[-1][0] + b[-1][0] + 1
+    return st.one_of(st.integers(1, full), st.integers(1, full + 5))
 
 
 @st.composite
@@ -132,9 +145,12 @@ def series(draw, ring):
 # -- the kernel -------------------------------------------------------------------------
 
 
-@given(arrays(), arrays(), st.integers(1, 30), st.one_of(st.none(), st.integers(1, 8)))
+@given(data=st.data())
 @settings(max_examples=150)
-def test_packed_mul_matches_schoolbook(a, b, count, cut):
+def test_packed_mul_matches_schoolbook(data):
+    a, b = data.draw(arrays()), data.draw(arrays())
+    count = data.draw(counts(a, b))
+    cut = data.draw(st.one_of(st.none(), st.integers(1, 8)))
     assert kernel(a, b, count, cut) == schoolbook(a, b, count, cut)
 
 
@@ -155,11 +171,13 @@ def test_packed_mul_signed_borrow_across_slots():
     assert kernel(a, b, 4) == schoolbook(a, b, 4)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 12, 14, 15, 16, 28, 30, 31, 32, 60, 63, 64])
 @pytest.mark.parametrize("n", [1, 3, 7, 15])
 def test_packed_mul_slot_holds_the_largest_sum(k, n):
     """Rows of n equal entries of k bits: the middle entry of the product
-    reaches n * (2^k - 1)^2, the bound the slot width is sized for."""
+    reaches n * (2^k - 1)^2, the bound the slot width is sized for.  The
+    slots needed, 2k + 1 bits plus those of n, sit at and just past 1, 2,
+    4 and 8 bytes, where the slot width changes."""
     x = Fraction(2**k - 1)
     for sign in (1, -1):
         a = [(0, [x] * n)]
@@ -167,10 +185,13 @@ def test_packed_mul_slot_holds_the_largest_sum(k, n):
         assert kernel(a, b, 1) == schoolbook(a, b, 1)
 
 
-@given(arrays(), st.integers(1, 30), st.one_of(st.none(), st.integers(1, 8)))
+@given(data=st.data())
 @settings(max_examples=100)
-def test_packed_mul_square_matches_schoolbook(a, count, cut):
+def test_packed_mul_square_matches_schoolbook(data):
     """One array passed twice is packed once and squared."""
+    a = data.draw(arrays())
+    count = data.draw(counts(a, a))
+    cut = data.draw(st.one_of(st.none(), st.integers(1, 8)))
     assert kernel(a, a, count, cut) == schoolbook(a, a, count, cut)
 
 

@@ -320,13 +320,22 @@ def _named_at_its_place(text, outcome):
     return ["ParseError", f"unexpected character {text[pos]!r} (at position {pos})"]
 
 
+def _division_named(outcome):
+    """The recorded outcome, except that a divisor with no inverse is named
+    as a division: the parser once passed on ``LaurentSeries.invert``'s
+    advice to use the normal form."""
+    if outcome != ["NotInvertible", "lowest coefficient is not a unit; use the normal form"]:
+        return outcome
+    return ["NotInvertible", "cannot divide by a series whose lowest coefficient is not a unit"]
+
+
 def test_parse_corpus_keeps_its_outcomes():
     """Every corpus text parses to the recorded value, ring and prec, or
     raises the recorded exception class and message."""
     corpus = json.loads(CORPUS_PATH.read_text())
     got = corpus_outcomes([text for text, _ in corpus["series"]], [text for text, _ in corpus["forms"]])
     for (text, recorded), (_, outcomes) in zip(corpus["series"], got["series"]):
-        assert outcomes == [_named_at_its_place(text, r) for r in recorded], text
+        assert outcomes == [_division_named(_named_at_its_place(text, r)) for r in recorded], text
     for (text, recorded), (_, outcome) in zip(corpus["forms"], got["forms"]):
         # a form is tokenized after its blanks and a trailing dx are stripped
         seen = re.sub(r"\bdx\s*$", "", text.strip())
