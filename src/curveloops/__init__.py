@@ -3,7 +3,7 @@
 Laurent series over exact coefficient rings, the multiplicative normal
 form of invertible series, loop classification on a small curve catalog,
 residue calculus for meromorphic 1-forms, and surface-group homomorphism
-counts from one commutator histogram.
+counts from Mednykh's character formula.
 """
 
 from .components import (

@@ -273,18 +273,19 @@ def run(argv) -> tuple[int, str]:
         return (0 if exc.code in (0, None) else 2), ""
     try:
         result = _HANDLERS[args.command](args)
+        lines, data, code = result if len(result) == 3 else (*result, 0)
+        text = json.dumps(data, sort_keys=True) if args.json else "\n".join(lines)
     except ParseError as exc:
         return 2, f"parse error: {exc}\n"
     except LoopSpaceError as exc:
         return 1, f"error: {exc}\n"
-    if len(result) == 3:
-        lines, data, code = result
-    else:
-        lines, data = result
-        code = 0
-    if args.json:
-        return code, json.dumps(data, sort_keys=True) + "\n"
-    return code, "\n".join(lines) + "\n"
+    except ValueError as exc:
+        # the interpreter's int-to-str limit, met by an integer of the
+        # answer or of the input
+        if "integer string conversion" not in str(exc):
+            raise
+        return 1, f"error: an integer has more than {covers.PRINTED_DIGITS} digits\n"
+    return code, text + "\n"
 
 
 def main() -> None:

@@ -3,13 +3,13 @@
 The closed genus-g surface group has one relation, the product of
 commutators of the standard generator pairs; the punctured surface group
 is free on the same generators, so it has (n!)^(2g) homomorphisms into
-S_n.  ``count_homs`` counts the closed side without enumerating the
-2g-tuples.  The number of pairs (a, b) with [a, b] = x is a class function
-C(x) (Frobenius 1896), and the homomorphisms of the closed group are the
-g-tuples of pairs whose commutators multiply to the identity: the value at
-the identity of the g-fold convolution power of C.  One pass over the n!^2
-pairs builds C, and repeated squaring takes the power.  Mednykh's
-character formula (1978) gives the same count and is the tests' oracle.
+S_n.  ``count_homs`` counts the closed side by Mednykh's character
+formula (Soviet Math. Dokl. 19, 1978): a finite group G has
+|G| sum_chi (|G| / chi(1))^(2g - 2) homomorphisms from the closed group,
+summed over its irreducible characters chi.  Those of S_n are labelled by
+the partitions of n, and |G| / chi(1) is the product of the hook lengths
+of the partition (Frame, Robinson & Thrall 1954), so the count takes one
+power per partition and no group element.
 
 ``Perm`` and its helpers (no group-theory library) build the concrete
 witness, an assignment satisfying the free group but violating the
@@ -20,15 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .errors import SizeMismatch, TooLarge
 
-#: Hard cap on enumerated generator assignments.
-ENUMERATION_LIMIT = 2_000_000
+#: Largest n for which S_n is counted: S_30 has 5604 irreducible
+#: characters, and the count takes one big-integer power for each.
+LARGEST_N = 30
 
-#: Most digits of a count printed in full: CPython's default limit for
-#: int-to-str conversion, fixed here so every interpreter prints the same.
+#: Most digits of a count printed: CPython's default limit for int-to-str
+#: conversion, fixed here so every interpreter prints the same counts.
 PRINTED_DIGITS = 4300
 
 
@@ -125,63 +126,53 @@ def surface_relation(assign: GeneratorAssignment) -> Perm:
 def count_homs(genus: int, n: int) -> tuple[int, int]:
     """(surface_count, free_count) of homomorphisms into S_n.
 
-    Every tuple of 2g permutations is a homomorphism of the free group.
-    The surface count is the value at the identity of the g-fold
-    convolution power of the commutator histogram C (see the module
-    docstring), taken over a product table of the n! permutations in
-    O(log g) convolutions over supp C, which lies in the alternating
-    group.  Raises ``TooLarge`` when (n!)^(2g) exceeds
-    ``ENUMERATION_LIMIT``.
+    The free count is (n!)^(2g), every 2g-tuple of permutations; the
+    surface count is Mednykh's, one power per partition of n (see the
+    module docstring).  Raises ``TooLarge`` for n past ``LARGEST_N``,
+    before any factorial is formed, and for a free count of more than
+    ``PRINTED_DIGITS`` digits; the surface count is at most the free
+    count, so both can be printed.
     """
     if genus < 1:
         raise ValueError("genus must be positive")
-    base = factorial(n)
-    # capped at 2^21 > ENUMERATION_LIMIT: past the cap the power exceeds
-    # the limit for any base >= 2, and the full power is never built
-    free_count = base ** min(2 * genus, ENUMERATION_LIMIT.bit_length())
-    if free_count > ENUMERATION_LIMIT:
-        raise TooLarge(f"{_power_text(base, 2 * genus)} assignments exceed the enumeration bound")
-    perms = list(permutations(range(n)))  # perms[0] is the identity
-    index = {p: i for i, p in enumerate(perms)}
-    # mul[i][j] is the index of perms[i] after perms[j]
-    mul = [[index[tuple([p[k] for k in q])] for q in perms] for p in perms]
-    inv = [row.index(0) for row in mul]
-    histogram = {}
-    for a, row in enumerate(mul):
-        for b, ab in enumerate(row):
-            # [a, b] = (a b) (b a)^-1
-            c = mul[ab][inv[mul[b][a]]]
-            histogram[c] = histogram.get(c, 0) + 1
-    power = {0: 1}
-    while genus:
-        if genus & 1:
-            power = _convolve(power, histogram, mul)
-        genus >>= 1
-        if genus:
-            histogram = _convolve(histogram, histogram, mul)
-    return power.get(0, 0), free_count
+    if n > LARGEST_N:
+        raise TooLarge(f"S_{n} is past S_{LARGEST_N}, the largest symmetric group counted")
+    order = factorial(n)
+    free_count = _printable_power(order, 2 * genus)
+    return order * sum(h ** (2 * genus - 2) for h in _hook_products(n)), free_count
 
 
-def _power_text(base: int, exponent: int) -> str:
-    """base^exponent in decimal, or as ``<base>^<exponent>`` when it has
-    more than ``PRINTED_DIGITS`` digits."""
+def _printable_power(base: int, exponent: int) -> int:
+    """base^exponent; raises ``TooLarge``, naming it ``<base>^<exponent>``
+    and without building it, when it has more than ``PRINTED_DIGITS``
+    digits."""
     # 10/3 > log2(10): past this bound base^exponent >= 10^PRINTED_DIGITS
     if (base.bit_length() - 1) * exponent <= PRINTED_DIGITS * 10 // 3:
         power = base**exponent
-        if power < 10**PRINTED_DIGITS:
-            return str(power)
-    return f"{base}^{exponent}"
+        # 3 < log2(10): up to 3 * PRINTED_DIGITS bits it has fewer digits
+        if power.bit_length() <= 3 * PRINTED_DIGITS or power < 10**PRINTED_DIGITS:
+            return power
+    raise TooLarge(f"the free count {base}^{exponent} has more than {PRINTED_DIGITS} digits")
 
 
-def _convolve(f: dict, g: dict, mul: list) -> dict:
-    """(f * g)(z) = sum of f(x) g(y) over x y = z, for counts keyed by index."""
-    out = {}
-    for x, fx in f.items():
-        row = mul[x]
-        for y, gy in g.items():
-            z = row[y]
-            out[z] = out.get(z, 0) + fx * gy
-    return out
+def _hook_products(n: int, low: int = 1, heights: tuple = (), product: int = 1):
+    """The product of the hook lengths of each partition of n, n! / chi(1)
+    for the character chi of S_n it labels (Frame, Robinson & Thrall 1954).
+
+    The diagram is built from the bottom row up: ``heights`` are the column
+    heights of the rows laid so far, ``product`` is their hooks' product,
+    and each further row has at least ``low`` cells.  A row laid on top,
+    no shorter than the rows below it, changes none of their hooks, and
+    its cell in column j has hook row - j + heights[j].
+    """
+    if n == 0:
+        yield product
+        return
+    # a row leaves nothing, or room for the longer rows above it
+    for row in (*range(low, n // 2 + 1), n):
+        below = heights + (0,) * (row - len(heights))
+        hooks = prod(row - j + h for j, h in enumerate(below))
+        yield from _hook_products(n - row, row, tuple(h + 1 for h in below), product * hooks)
 
 
 def conjugacy_class_count(n: int) -> int:

@@ -66,7 +66,7 @@ class SizeMismatch(LoopSpaceError):
 
 
 class TooLarge(LoopSpaceError):
-    """Enumeration bound exceeded."""
+    """Input past a size the package computes or prints."""
 
 
 class ParseError(LoopSpaceError):

@@ -4,12 +4,13 @@ from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
+from sympy import partition
 
+from curveloops import covers
 from curveloops.covers import (
-    ENUMERATION_LIMIT,
     GeneratorAssignment,
     Perm,
-    _power_text,
+    _printable_power,
     commutator,
     compose,
     conjugacy_class_count,
@@ -71,15 +72,7 @@ def test_conjugacy_class_counts():
     assert conjugacy_class_count(4) == 5
 
 
-def test_enumeration_cap():
-    with pytest.raises(TooLarge):
-        count_homs(2, 5)
-
-
-# -- count_homs against the enumeration it replaced and against Mednykh ----------------
-
-# each (g, n) is counted once per session: (1, 6) alone takes most of a second
-counted = cache(count_homs)
+# -- count_homs against enumeration, the commutator histogram and Mednykh -------------
 
 
 def enumerated_homs(genus, n):
@@ -91,6 +84,49 @@ def enumerated_homs(genus, n):
         if surface_relation(GeneratorAssignment(genus, images)).is_identity():
             surface += 1
     return surface, free
+
+
+@cache
+def commutator_histogram(n):
+    """The product table of S_n (``mul[i][j]`` is the index of perms[i]
+    after perms[j], perms[0] the identity) and the histogram C of the
+    commutators [a, b] over all n!^2 pairs, keyed by index."""
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple([p[k] for k in q])] for q in perms] for p in perms]
+    inv = [row.index(0) for row in mul]
+    histogram = {}
+    for a, row in enumerate(mul):
+        for b, ab in enumerate(row):
+            # [a, b] = (a b) (b a)^-1
+            c = mul[ab][inv[mul[b][a]]]
+            histogram[c] = histogram.get(c, 0) + 1
+    return mul, histogram
+
+
+def convolve(f, g, mul):
+    """(f * g)(z) = sum of f(x) g(y) over x y = z, for counts keyed by index."""
+    out = {}
+    for x, fx in f.items():
+        row = mul[x]
+        for y, gy in g.items():
+            z = row[y]
+            out[z] = out.get(z, 0) + fx * gy
+    return out
+
+
+def histogram_homs(genus, n):
+    """(surface, free) without the 2g-tuples: the homomorphisms of the
+    closed group are the g-tuples of pairs whose commutators multiply to
+    the identity, the value at the identity of the g-fold convolution power
+    of C, taken by repeated squaring."""
+    mul, histogram = commutator_histogram(n)
+    power = {0: 1}
+    for bit in bin(genus)[2:]:
+        power = convolve(power, power, mul)
+        if bit == "1":
+            power = convolve(power, histogram, mul)
+    return power.get(0, 0), factorial(n) ** (2 * genus)
 
 
 def partitions(n, largest=None):
@@ -121,12 +157,11 @@ def mednykh(genus, n):
     return order * sum((order // d) ** (2 * genus - 2) for d in irreducible_degrees(n))
 
 
-ADMITTED = [
-    (g, n)
-    for n in range(7)
-    for g in range(1, 13)
-    if factorial(n) ** (2 * g) <= ENUMERATION_LIMIT
-]
+#: Where the histogram oracle runs in well under 10 s: its pass over the
+#: n!^2 pairs takes a fraction of a second at n = 6 and 49 times as long at
+#: n = 7.
+HISTOGRAM = [(g, n) for n in range(7) for g in (1, 2, 3, 4, 5, 8, 13)]
+ENUMERATED = [(g, n) for n in range(4) for g in (1, 2, 3, 4) if factorial(n) ** (2 * g) <= 1296]
 
 
 def test_hook_lengths_give_the_group_order():
@@ -135,52 +170,81 @@ def test_hook_lengths_give_the_group_order():
     assert sorted(irreducible_degrees(4)) == [1, 1, 2, 3, 3]
 
 
-@pytest.mark.parametrize("genus,n", ADMITTED)
-def test_count_homs_matches_mednykh(genus, n):
-    assert counted(genus, n) == (mednykh(genus, n), factorial(n) ** (2 * genus))
+@pytest.mark.parametrize("genus,n", ENUMERATED)
+def test_mednykh_and_the_histogram_match_enumeration(genus, n):
+    surface, free = enumerated_homs(genus, n)
+    assert histogram_homs(genus, n) == (surface, free)
+    assert mednykh(genus, n) == surface
+
+
+@pytest.mark.parametrize("genus,n", HISTOGRAM)
+def test_count_homs_and_mednykh_match_the_histogram(genus, n):
+    surface, free = histogram_homs(genus, n)
+    assert mednykh(genus, n) == surface
+    assert count_homs(genus, n) == (surface, free)
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_count_homs_counts_commuting_pairs_at_genus_1(n):
+    # commuting pairs in a finite group number |G| * #conjugacy classes,
+    # and the classes of S_n are its cycle types, the partitions of n
+    assert count_homs(1, n) == (factorial(n) * int(partition(n)), factorial(n) ** 2)
 
 
 @pytest.mark.parametrize(
-    "genus,n", [(g, n) for g, n in ADMITTED if factorial(n) ** (2 * g) <= 1296]
+    "genus,n", [(g, n) for n in (7, 8, 11, 16, 23, 30) for g in (2, 3, 7)] + [(66, 30)]
 )
-def test_count_homs_matches_enumeration(genus, n):
-    assert counted(genus, n) == enumerated_homs(genus, n)
+def test_count_homs_matches_mednykh(genus, n):
+    assert count_homs(genus, n) == (mednykh(genus, n), factorial(n) ** (2 * genus))
 
 
 def test_count_homs_pinned_values():
-    assert counted(1, 6) == (7920, 518400)
-    assert counted(3, 3) == (16038, 46656)
+    assert count_homs(1, 6) == (7920, 518400)
+    assert count_homs(3, 3) == (16038, 46656)
+    assert count_homs(2, 5) == (3858240, 207360000)
+    assert count_homs(3, 4) == (16619520, 191102976)
+    assert count_homs(1, 7) == (5040 * 15, 25401600)
     assert count_homs(10**6, 1) == (1, 1)
     assert count_homs(10**9, 0) == (1, 1)
 
 
-@pytest.mark.parametrize("genus,n", [(10, 2), (4, 3), (2, 4), (1, 5), (1, 6)])
-def test_enumeration_bound_admits(genus, n):
-    assert counted(genus, n)[1] == factorial(n) ** (2 * genus) <= ENUMERATION_LIMIT
+@pytest.mark.parametrize("n", [31, 1700, 10**9])
+def test_count_homs_refuses_past_s30(n, monkeypatch):
+    # the refusal comes before n! is formed
+    monkeypatch.setattr(covers, "factorial", None)
+    with pytest.raises(TooLarge, match=f"^S_{n} is past S_30, the largest symmetric group counted$"):
+        count_homs(1, n)
 
 
-@pytest.mark.parametrize("genus,n", [(11, 2), (5, 3), (3, 4), (2, 5), (1, 7)])
-def test_enumeration_bound_raises(genus, n):
-    free = factorial(n) ** (2 * genus)
-    with pytest.raises(TooLarge, match=f"^{free} assignments exceed the enumeration bound$"):
-        count_homs(genus, n)
+@pytest.mark.parametrize("n", range(2, 31))
+def test_count_homs_prints_the_largest_free_count(n):
+    """The largest genus whose free count has at most 4300 digits answers,
+    and the next one is refused with the count's short form."""
+    genus, square, limit = 1, factorial(n) ** 2, 10**4300
+    while square ** (genus + 1) < limit:
+        genus += 1
+    assert count_homs(genus, n)[1] == factorial(n) ** (2 * genus)
+    text = f"{factorial(n)}^{2 * genus + 2}"
+    with pytest.raises(TooLarge, match=f"^the free count {re.escape(text)} has more than 4300 digits$"):
+        count_homs(genus + 1, n)
 
 
 @pytest.mark.parametrize(
     "genus,n,text",
     [(3000, 3, "6^6000"), (10**9, 3, "6^2000000000"), (10**9, 2, "2^2000000000")],
 )
-def test_enumeration_bound_message_never_builds_a_huge_count(genus, n, text):
-    with pytest.raises(TooLarge, match=f"^{re.escape(text)} assignments exceed the enumeration bound$"):
+def test_unprintable_free_count_is_never_built(genus, n, text):
+    with pytest.raises(TooLarge, match=f"^the free count {re.escape(text)} has more than 4300 digits$"):
         count_homs(genus, n)
 
 
-def test_enumeration_bound_message_prints_up_to_4300_digits():
-    # 2^14284 has 4300 digits and 2^14287 has 4301
-    assert _power_text(2, 14284) == str(2**14284)
-    assert _power_text(2, 14287) == "2^14287"
-    assert _power_text(10, 4299) == str(10**4299)
-    assert _power_text(10, 4300) == "10^4300"
+def test_printed_counts_have_up_to_4300_digits():
+    # 2^14284 has 4300 digits and 2^14285 has 4301
+    assert _printable_power(2, 14284) == 2**14284
+    assert _printable_power(10, 4299) == 10**4299
+    for base, exponent in [(2, 14285), (10, 4300)]:
+        with pytest.raises(TooLarge, match=f"^the free count {base}\\^{exponent} has more than 4300 digits$"):
+            _printable_power(base, exponent)
 
 
 def test_witness_nonextendable():
