@@ -164,29 +164,29 @@ def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
     Horner's rule over the nonzero coefficients only (von zur Gathen &
     Gerhard, *Modern Computer Algebra*, 5.2): a run of zero coefficients
     costs one power x ** gap, so x^20000 + 1 takes O(log 20000) products.
-    A rational leading coefficient scales the first power it meets, with
-    no product.
+    It runs on bare series (den, rows, prec); a rational is a constant row.
     """
+    ring, base = x.ring, (x.den, x.rows, x.prec)
     acc, top = None, None
     for i in range(len(h) - 1, -1, -1):
         c = h[i]
-        if not isinstance(c, LaurentSeries):
-            if not c:
-                continue
-            if top is not None:
-                c = LaurentSeries.constant(x.ring, c)
-        acc = c if top is None else _times(acc, x ** (top - i)) + c
-        top = i
+        if isinstance(c, LaurentSeries):
+            c = (c.den, c.rows, c.prec)
+        elif not c:
+            continue
+        else:
+            c = Coeff.const(ring, c)
+            c = (c.den, ((0, c.payload),), None)
+        if acc is not None:
+            den, rows, prec = _series._times(ring, acc, _series._power(ring, base, top - i))
+            prec = _series._min_prec(prec, c[2])
+            c = (*_series._add_rows(den, rows, c[0], c[1], prec), prec)
+        acc, top = c, i
     if top is None:
-        return LaurentSeries.zero(x.ring)
+        return LaurentSeries.zero(ring)
     if top:
-        return _times(acc, x ** top)
-    return acc if isinstance(acc, LaurentSeries) else LaurentSeries.constant(x.ring, acc)
-
-
-def _times(acc, power: LaurentSeries) -> LaurentSeries:
-    """acc * power for a series acc, or ``power.scale(acc)`` for a rational."""
-    return acc * power if isinstance(acc, LaurentSeries) else power.scale(acc)
+        acc = _series._times(ring, acc, _series._power(ring, base, top))
+    return LaurentSeries.from_rows(ring, *acc)
 
 
 # -- curve construction -------------------------------------------------------

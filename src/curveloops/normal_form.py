@@ -9,25 +9,32 @@ Over a field the negative product is empty and v is the valuation.
 
 ``factor`` computes the data, ``reconstruct`` expands it back, ``order_of``
 reads off v.  The negative factors are peeled from the most negative
-exponent up, which terminates because each correction lands in a strictly
-higher power of the nilradical.  What is left, divided by its constant u,
-is p = prod_j (1 - b_j z^j), and the b_j are the Witt coordinates of the
-ghost series z p'/p (Hazewinkel, "Witt vectors. Part 1", arXiv:0804.3888):
-its coefficient at z^n is -sum_{d | n} d b_d^(n/d), so one dlog and a
-divisor sieve give every b_j below the window.
+exponent up: each round cancels the lowest term c z^-i of r = z^-v alpha
+prod (1 - a_i z^-i)^-1 over the factors found so far, by one product with
+at most k + 1 rows over Q[eps]/eps^k.  The rounds stop.  Give a coefficient
+in N^l but not N^(l+1), N the nilradical, the layer l, and let z^-L be the
+lowest term of z^-v alpha.  By induction each a_i has a layer l >= i/L, so
+no term of layer l lies below z^-lL.  A round on a term of layer l at z^e
+leaves no term at or below z^e nonzero mod N^(l+1), and rounds at higher
+layers change nothing mod N^(l+1).  So at most lL rounds at layer l < k
+fall between two at lower layers, R_l <= lL (1 + R_1 + ... + R_(l-1)): L
+rounds over eps^2, O(L^2) over eps^3 (210 for 20 eps terms).  What is
+left, divided by its constant u, is p = prod_j (1 - b_j z^j), and the b_j
+are the Witt coordinates of the ghost series z p'/p (Hazewinkel, "Witt
+vectors. Part 1", arXiv:0804.3888): its coefficient at z^n is
+-sum_{d | n} d b_d^(n/d), so one dlog and a divisor sieve give every b_j.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest
 
 from .errors import InsufficientPrecision, NotInvertible
-from .ring import Coeff, Ring
-from .series import LaurentSeries, resolve_prec
-
-_MAX_PEEL_ROUNDS = 200
+from .ring import Coeff, Ring, canonical
+from .series import LaurentSeries, _coeff_rows, _mul_rows, resolve_prec
 
 
 @dataclass(frozen=True)
@@ -47,16 +54,17 @@ class NormalForm:
     prec: int | None = None
 
 
-def _neg_factor_inverse(ring: Ring, i: int, a: Coeff) -> LaurentSeries:
-    """(1 - a z^-i)^-1 = sum_m a^m z^-im, finite since a is nilpotent."""
-    terms = {0: Coeff.one(ring)}
-    power = a
-    m = 1
+def _peel(ring: Ring, i: int, a: Coeff, delta: Coeff) -> tuple[int, int, tuple]:
+    """(depth, den, rows): the bare rows of (1 - (a - delta) z^-i) / (1 - a
+    z^-i) = 1 + delta z^-i sum_m a^m z^-im, and the largest m with a^m != 0
+    (0 for a = 0); both finite since a is nilpotent."""
+    powers, power = [Coeff.one(ring)], a
     while not power.is_zero():
-        terms[-i * m] = power
+        powers.append(power)
         power = power * a
-        m += 1
-    return LaurentSeries.build(ring, terms)
+    terms = [(-i * m, delta * c) for m, c in enumerate(powers, 1)]
+    terms = [(e, c) for e, c in reversed(terms) if not c.is_zero()]
+    return (len(powers) - 1, *_coeff_rows(terms + [(0, Coeff.one(ring))]))
 
 
 def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
@@ -74,31 +82,33 @@ def factor(alpha: LaurentSeries, prec: int | None = None) -> NormalForm:
     v = order_of(alpha)
     beta = alpha.shift(-v)
 
-    # negative part: correct the most negative exponent until none remain
+    # negative part: rows / den is beta prod_i (1 - a_i z^-i)^-1, kept uncut
+    # so that the factor of one changed a_i updates it exactly; the product
+    # rule on each factor makes it known below beta.prec - sum_i i depth[i]
     neg: dict[int, Coeff] = {}
-    r = beta
-    for _ in range(_MAX_PEEL_ROUNDS):
-        if r.prec is not None and r.prec <= 0:
-            raise InsufficientPrecision(
-                "constant term not certified after the negative factors"
-                f" (need O(z^1), have O(z^{r.prec}))"
-            )
-        e = r.ord_min()
-        if e is None or e >= 0:
-            break
-        c = r.coeff(e)
+    depth: dict[int, int] = {}
+    den, rows, prec = beta.den, beta.rows, beta.prec
+    while rows and rows[0][0] < 0 and (prec is None or prec > 0):
+        i, c = -rows[0][0], Coeff(ring, den, rows[0][1])
         if not c.is_nilpotent():
             raise NotInvertible("non-nilpotent negative coefficient")
-        delta = -(c * r.coeff(0).invert())
-        i = -e
-        neg[i] = neg.get(i, Coeff.zero(ring)) + delta
-        if neg[i].is_zero():
-            del neg[i]
-        r = beta
-        for i2, a in sorted(neg.items()):
-            r = r * _neg_factor_inverse(ring, i2, a)
-    else:  # pragma: no cover - guarded by nilpotency
-        raise NotInvertible("negative-part peeling did not terminate")
+        # Coeff arithmetic reduces its results, so these need not be in
+        # lowest terms; the constant term is a unit mod N, so it is stored
+        delta = -(c * Coeff(ring, den, rows[bisect_left(rows, (0,))][1]).invert())
+        a = neg.pop(i, Coeff.zero(ring)) + delta
+        d, f_den, f_rows = _peel(ring, i, a, delta)
+        if d:
+            neg[i] = a
+        prec = None if prec is None else prec + i * (depth.get(i, 0) - d)
+        depth[i] = d
+        den, rows = canonical(ring, den * f_den, _mul_rows(ring, rows, f_rows, None))
+    if prec is not None and prec <= 0:
+        raise InsufficientPrecision(
+            "constant term not certified after the negative factors"
+            f" (need O(z^1), have O(z^{prec}))"
+        )
+    r = beta if not depth else LaurentSeries.from_rows(
+        ring, den, [row for row in rows if prec is None or row[0] < prec], prec)
 
     unit = r.coeff(0)
     p = r.scale(unit.invert())
@@ -127,8 +137,7 @@ def _witt_coordinates(p: LaurentSeries, limit: int) -> tuple[tuple[int, Coeff], 
     once b_d is known, d b_d^m is added to slot d m, and the powers stop
     at the first zero one.
     """
-    head = p.truncate(limit)
-    head = LaurentSeries.from_rows(p.ring, head.den, head.rows, None)
+    head = LaurentSeries.from_rows(p.ring, p.den, [r for r in p.rows if r[0] < limit], None)
     sums = dict(head.dlog(limit).shift(1).truncate(limit).terms)
     pos = []
     for n in range(1, limit):
@@ -174,18 +183,21 @@ def reconstruct(nf: NormalForm) -> LaurentSeries:
     The result is truncated at ``nf.prec`` (exact forms reconstruct
     exactly).  The negative factors lower exponents by at most sum(i), so
     for a cut at N the unit times the positive factors is needed only
-    below N - order + sum(i), and each product drops what lies past its
-    own precision.
+    below N - order + sum(i), and each product of bare rows drops what
+    lies past its own cut and divides out its content.
     """
-    ring = nf.ring
-    out = LaurentSeries.constant(ring, nf.unit)
-    if nf.prec is not None:
-        out = out.truncate(nf.prec - nf.order + sum([i for i, _ in nf.neg]))
-    for j, b in nf.pos:
-        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), j: -b})
-    for i, a in nf.neg:
-        out = out * LaurentSeries.build(ring, {0: Coeff.one(ring), -i: -a})
-    return out.shift(nf.order).truncate(nf.prec)
+    ring, one = nf.ring, Coeff.one(nf.ring).payload
+    hi = None if nf.prec is None else nf.prec - nf.order + sum([i for i, _ in nf.neg])
+    den, rows = nf.unit.den, [(0, nf.unit.payload)]
+    # a negative factor 1 - a z^-i runs as j = -i, and lowers the cut by i
+    for j, b in nf.pos + tuple([(-i, a) for i, a in nf.neg]):
+        hi = hi if hi is None or j > 0 else hi + j
+        binomial = sorted([(0, [v * b.den for v in one]), (j, [-v for v in b.payload])])
+        # one gcd pass per factor: the product of the b_j's denominators
+        # grows far past the partial product's own (8000 bits at n = 96)
+        den, rows = canonical(ring, den * b.den, _mul_rows(ring, rows, binomial, hi))
+    rows = [(e + nf.order, p) for e, p in rows if hi is None or e < hi]
+    return LaurentSeries.from_rows(ring, den, rows, nf.prec)
 
 
 def order_of(alpha: LaurentSeries) -> int:

@@ -8,15 +8,16 @@ Coefficients live in one of:
 
 A value is stored exactly as integers over one denominator, the format
 of one row of a ``LaurentSeries``: a ``Coeff`` is ``(ring, den, payload)``
-and stands for payload / den.  ``canonical`` states the payload rules, and
-``payload_is_unit`` and ``payload_is_nilpotent`` are the ring's tests on a
-payload, so that series code never branches on the ring.  Values are
-immutable; mixing rings raises ``RingMismatch``.  ``Coeff.data`` reads a
-value back as ``fractions.Fraction`` entries.
+and stands for payload / den.  ``canonical`` states the payload rules
+(``nonzero_rows`` with no gcd pass), and ``payload_is_unit`` and
+``payload_is_nilpotent`` are the ring's tests on a payload, so that series
+code never branches on the ring.  Values are immutable; mixing rings
+raises ``RingMismatch``.  ``Coeff.data`` reads a value back as
+``fractions.Fraction`` entries.
 
-Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (see
-``LaurentSeries.__mul__``), go through one kernel, ``packed_mul``, by
-Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  The kernel
+Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (laid
+out and cut by ``series._mul_rows``), go through one kernel, ``packed_mul``,
+by Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  The kernel
 works on integers only.  An operand is a 2-D array of ints: rows indexed
 by i (the z-exponent of a series, or 0 for a single coefficient), each row
 the payload of one coefficient, so the entry (i, j) is the coefficient of
@@ -108,6 +109,20 @@ def canonical(ring: Ring, den: int, rows: Iterable) -> tuple[int, tuple]:
     factor of ``den`` and all entries is divided out, signed so that
     ``den`` > 0.  A zero ``Coeff`` keeps its payload, over ``den`` = 1.
     """
+    out = nonzero_rows(ring, rows)
+    g = gcd(den, *[v for _, p in out for v in p]) if den != 1 else 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        out = [(e, tuple([v // g for v in p])) for e, p in out]
+    return den, tuple(out)
+
+
+def nonzero_rows(ring: Ring, rows: Iterable) -> list:
+    """The (e, payload) pairs of ``rows`` with a nonzero payload, each
+    payload a tuple, over Q[t] with trailing zeros trimmed: the payload
+    rules of ``canonical``, without its gcd pass."""
     poly = ring.kind == POLY_KIND
     out = []
     for e, p in rows:
@@ -118,13 +133,7 @@ def canonical(ring: Ring, den: int, rows: Iterable) -> tuple[int, tuple]:
             p = p[:n]
         if any(p):
             out.append((e, tuple(p)))
-    g = gcd(den, *[v for _, p in out for v in p]) if den != 1 else 1
-    if den < 0:
-        g = -g
-    if g != 1:
-        den //= g
-        out = [(e, tuple([v // g for v in p])) for e, p in out]
-    return den, tuple(out)
+    return out
 
 
 def payload_is_unit(ring: Ring, p: Sequence[int]) -> bool:

@@ -17,8 +17,10 @@ with its own denominator.  Payloads follow the rules of
 ``ring.canonical`` and are never zero; ``den > 0``, ``den`` and all
 entries are coprime, and every stored exponent lies below ``prec``.  The
 form is canonical, so ``==`` and ``hash`` compare values.  Arithmetic
-works on the integers, and products pass the rows straight to
-``ring.packed_mul``.
+works on the integers.  Every product of rows is decided in ``_mul_rows``,
+which picks the layout and applies the cut; loops (powers, the Newton
+steps of ``invert`` and ``sqrt``, and those of ``curves`` and
+``normal_form``) keep bare rows and build a ``LaurentSeries`` on return.
 
 A series is built the way a ``Coeff`` is: ``LaurentSeries(ring, den, rows,
 prec)`` takes canonical fields as they are, ``from_rows`` makes integer
@@ -51,6 +53,7 @@ from .ring import (
     Ring,
     Scalar,
     canonical,
+    nonzero_rows,
     packed_mul,
     payload_at,
     payload_is_nilpotent,
@@ -81,8 +84,90 @@ def _min_prec(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _scaled(rows: tuple, f: int):
-    return rows if f == 1 else [(e, tuple([v * f for v in p])) for e, p in rows]
+def _coeff_rows(terms) -> tuple[int, tuple]:
+    """(den, rows) of ascending (exponent, nonzero ``Coeff``) pairs: over
+    the lcm of the canonical ``Coeff`` denominators they are canonical, as
+    a prime's top power there divides some ``den`` but not its payload."""
+    den = lcm(*[c.den for _, c in terms])
+    return den, tuple([
+        (e, c.payload if c.den == den else tuple([v * (den // c.den) for v in c.payload]))
+        for e, c in terms
+    ])
+
+
+# -- bare rows: (exponent, nonzero payload) pairs of ints, ascending, over a
+# denominator kept beside them; loops keep (den, rows) or (den, rows, prec)
+
+
+def _mul_rows(ring: Ring, a, b, hi: int | None) -> list:
+    """The integer rows of a * b below z^hi (None: no cut), over the product
+    of the two denominators.  A one-row operand scales and shifts the
+    other: a constant payload by integer products, any other in one kernel
+    call on the other's rows laid end to end.  Any other pair runs on the
+    lattice base + step*N that holds the exponents of both."""
+    if not a or not b or (hi is not None and a[0][0] + b[0][0] >= hi):
+        return []
+    if hi is not None:  # drop the rows that meet nothing below z^hi
+        square = a is b
+        a = a[:bisect_left(a, (hi - b[0][0],))]
+        b = a if square else b[:bisect_left(b, (hi - a[0][0],))]
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        (shift, p), = b
+        if not any(p[1:]):
+            return [(e + shift, [v * p[0] for v in q]) for e, q in a]
+        products = packed_mul([(i, q) for i, (_, q) in enumerate(a)], [(0, p)], len(a), ring.order)
+        return nonzero_rows(ring, [(e + shift, row) for (e, _), row in zip(a, products)])
+    ea, eb = a[0][0], b[0][0]
+    step = gcd(*[e - ea for e, _ in a], *[e - eb for e, _ in b]) or 1
+    count = (a[-1][0] - ea + b[-1][0] - eb) // step + 1
+    if hi is not None:
+        count = min(count, -((ea + eb - hi) // step))
+    la = [((e - ea) // step, p) for e, p in a]
+    # the same list for s * s: the kernel then packs once and squares
+    lb = la if a is b else [((e - eb) // step, p) for e, p in b]
+    rows = packed_mul(la, lb, count, ring.order)
+    return nonzero_rows(ring, [(ea + eb + m * step, row) for m, row in enumerate(rows)])
+
+
+def _add_rows(da: int, a, db: int, b, hi: int | None) -> tuple[int, list]:
+    """(den, rows) of a / da + b / db below z^hi (None: no cut), over
+    den = lcm(da, db); a negative ``db`` subtracts."""
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    out = {e: [v * fa for v in p] for e, p in a}
+    for e, q in b:
+        total = [x + y * fb for x, y in zip_longest(out.pop(e, ()), q, fillvalue=0)]
+        if any(total):
+            out[e] = total
+    rows = sorted(out.items())  # exponents are distinct: payloads never compared
+    return den, rows if hi is None else rows[:bisect_left(rows, (hi,))]
+
+
+def _times(ring: Ring, a: tuple, b: tuple) -> tuple:
+    """The product of bare series (den, rows, prec).  The unknown tail of a
+    (exponents >= its prec) meets b no lower than prec + ord_min(b), and
+    symmetrically; an inexact operand with no rows counts its precision as
+    its lowest exponent, and an exact zero makes the product exact."""
+    (da, ra, pa), (db, rb, pb) = a, b
+    if (not ra and pa is None) or (not rb and pb is None):
+        return da * db, [], None
+    prec = None if pa is None else pa + (rb[0][0] if rb else pb)
+    if pb is not None:
+        prec = _min_prec(prec, pb + (ra[0][0] if ra else pa))
+    return da * db, _mul_rows(ring, ra, rb, prec), prec
+
+
+def _power(ring: Ring, base: tuple, n: int) -> tuple:
+    """The bare series ``base`` to the power n >= 1, by repeated squaring."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else _times(ring, result, base)
+        n >>= 1
+        base = _times(ring, base, base) if n else base
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +187,7 @@ class LaurentSeries:
     ) -> "LaurentSeries":
         """The series sum c z^e over ``terms``, a mapping from exponents to
         ``Coeff`` values of ``ring`` or rationals; zero terms and terms at
-        or past ``prec`` are dropped.  Over the lcm of the canonical
-        ``Coeff`` denominators the rows are canonical: a prime's top power
-        there divides some ``den`` but not all of its payload."""
+        or past ``prec`` are dropped."""
         kept = []
         for e, c in terms.items():
             if not isinstance(c, Coeff):
@@ -114,12 +197,7 @@ class LaurentSeries:
             if (prec is None or e < prec) and any(c.payload):
                 kept.append((e, c))
         kept.sort(key=itemgetter(0))
-        den = lcm(*[c.den for _, c in kept])
-        rows = tuple([
-            (e, c.payload if c.den == den else tuple([v * (den // c.den) for v in c.payload]))
-            for e, c in kept
-        ])
-        return LaurentSeries(ring, den, rows, prec)
+        return LaurentSeries(ring, *_coeff_rows(kept), prec)
 
     @staticmethod
     def from_rows(ring: Ring, den: int, rows: Iterable, prec: int | None) -> "LaurentSeries":
@@ -193,14 +271,7 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         prec = _min_prec(self.prec, other.prec)
-        den = lcm(self.den, other.den)
-        out = dict(_scaled(self.rows, den // self.den))
-        for e, q in _scaled(other.rows, den // other.den):
-            p = out.get(e)
-            out[e] = q if p is None else tuple([x + y for x, y in zip_longest(p, q, fillvalue=0)])
-        rows = sorted(out.items())  # exponents are distinct: payloads never compared
-        if prec is not None:
-            rows = rows[:bisect_left(rows, (prec,))]
+        den, rows = _add_rows(self.den, self.rows, other.den, other.rows, prec)
         return LaurentSeries.from_rows(self.ring, den, rows, prec)
 
     def __neg__(self) -> "LaurentSeries":
@@ -213,65 +284,20 @@ class LaurentSeries:
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero(self.ring)
-        # Unknown tail of f (exponents >= f.prec) meets g no lower than
-        # f.prec + ord_min(g); symmetrically for g.  An inexact series with
-        # no stored terms contributes its own precision as the lowest
-        # conceivable exponent.
-        prec = None
-        for a, b in ((self, other), (other, self)):
-            if a.prec is None:
-                continue
-            om = b.ord_min()
-            if om is None:
-                om = b.prec if b.prec is not None else 0
-            prec = _min_prec(prec, a.prec + om)
-        if not self.rows or not other.rows:
-            return LaurentSeries(self.ring, 1, (), prec)
-        # Exponents of both operands lie on base + step*N; the packed
-        # product runs over that lattice.
-        ea, eb = self.rows[0][0], other.rows[0][0]
-        step = gcd(*[e - ea for e, _ in self.rows], *[e - eb for e, _ in other.rows]) or 1
-        count = (self.rows[-1][0] - ea + other.rows[-1][0] - eb) // step + 1
-        if prec is not None:
-            count = min(count, -((ea + eb - prec) // step))
-        if count <= 0:
-            return LaurentSeries(self.ring, 1, (), prec)
-        a = [((e - ea) // step, p) for e, p in self.rows]
-        # the same list for s * s: the kernel then packs once and squares
-        b = a if other is self else [((e - eb) // step, p) for e, p in other.rows]
-        rows = packed_mul(a, b, count, self.ring.order)
-        base = ea + eb
-        return LaurentSeries.from_rows(
-            self.ring,
-            self.den * other.den,
-            [(base + m * step, row) for m, row in enumerate(rows)],
-            prec,
-        )
+        a, b = (self.den, self.rows, self.prec), (other.den, other.rows, other.prec)
+        return LaurentSeries.from_rows(self.ring, *_times(self.ring, a, b))
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self * other.invert()
 
     def scale(self, c: CoeffLike) -> "LaurentSeries":
-        """The series times the constant ``c``.  A ``Coeff`` multiplies
-        every payload in one kernel call, the rows laid out one after the
-        other whatever their exponents."""
-        if isinstance(c, Coeff):
-            if c.ring != self.ring:
-                raise RingMismatch("scale by a coefficient from a different ring")
-            if c.is_zero() or not self.rows:
-                return LaurentSeries(self.ring, 1, (), self.prec)
-            a = [(i, p) for i, (_, p) in enumerate(self.rows)]
-            products = packed_mul(a, [(0, c.payload)], len(a), self.ring.order)
-            rows = [(e, row) for (e, _), row in zip(self.rows, products)]
-            return LaurentSeries.from_rows(self.ring, self.den * c.den, rows, self.prec)
-        q = Fraction(c)
-        if not q:
-            return LaurentSeries(self.ring, 1, (), self.prec)
-        n = q.numerator
-        rows = [(e, tuple([v * n for v in p])) for e, p in self.rows]
-        return LaurentSeries.from_rows(self.ring, self.den * q.denominator, rows, self.prec)
+        """The series times the constant ``c``, a ``Coeff`` or a rational."""
+        if not isinstance(c, Coeff):
+            c = Coeff.const(self.ring, c)
+        elif c.ring != self.ring:
+            raise RingMismatch("scale by a coefficient from a different ring")
+        rows = _mul_rows(self.ring, self.rows, [(0, c.payload)] if any(c.payload) else [], None)
+        return LaurentSeries.from_rows(self.ring, self.den * c.den, rows, self.prec)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by z^n."""
@@ -296,13 +322,10 @@ class LaurentSeries:
     def __pow__(self, n: int) -> "LaurentSeries":
         if n < 0:
             return self.invert() ** (-n)
-        result, base = None, self  # None stands for one: no product by one
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            base = base * base if n else base
-        return LaurentSeries.one(self.ring) if result is None else result
+        if not n:
+            return LaurentSeries.one(self.ring)
+        power = _power(self.ring, (self.den, self.rows, self.prec), n)
+        return LaurentSeries.from_rows(self.ring, *power)
 
     # -- valuation, inversion, calculus -----------------------------------
 
@@ -351,13 +374,15 @@ class LaurentSeries:
         if self.exact and len(self.rows) == 1:
             return LaurentSeries.monomial(self.ring, -v, lead.invert())
         rel = (self.prec - v) if self.prec is not None else window
-        g = self.shift(-v).truncate(rel)
-        b = LaurentSeries.constant(self.ring, lead.invert())
+        g = (self.den, [(e - v, p) for e, p in self.rows])
+        inverse = lead.invert()
+        b = (inverse.den, ((0, inverse.payload),))
         k = 1
         while k < rel:
             k = min(2 * k, rel)
-            b = _inverse_step(b, g, k)
-        return b.shift(-v).truncate(rel - v)
+            b = _inverse_step(self.ring, b, g, k)
+        den, rows = b
+        return LaurentSeries(self.ring, den, tuple([(e - v, p) for e, p in rows]), rel - v)
 
     def derivative(self) -> "LaurentSeries":
         rows = [(e - 1, tuple([v * e for v in p])) for e, p in self.rows if e]
@@ -408,20 +433,15 @@ class LaurentSeries:
         return LaurentSeries.from_rows(RATIONAL, self.den * q**d, rows, self.prec)
 
 
-def _inverse_step(b: LaurentSeries, g: LaurentSeries, k: int) -> LaurentSeries:
-    """One Newton step for 1/g: b - b (g b - 1) mod z^k, as a polynomial.
-
-    g has valuation 0 and the polynomial b equals 1/g mod z^m; the result
-    equals 1/g mod z^min(2m, k).  b enters the products exact and only g
-    is cut at z^k, so both products are certified exactly below z^k.
-    """
-    e = g.truncate(k) * b - LaurentSeries.one(g.ring)
-    return _as_polynomial(b - b * e)
-
-
-def _as_polynomial(s: LaurentSeries) -> LaurentSeries:
-    """The stored terms of ``s`` read as an exact Laurent polynomial."""
-    return LaurentSeries(s.ring, s.den, s.rows, None)
+def _inverse_step(ring: Ring, b: tuple, g: tuple, k: int) -> tuple:
+    """One Newton step for 1/g on (den, rows) pairs: b - b (g b - 1) mod
+    z^k, its content divided out so that the denominator does not square
+    with every step.  g has valuation 0 and b = 1/g mod z^m, so g b - 1 is
+    g b without its constant row; the result is 1/g mod z^min(2m, k)."""
+    (db, rb), (dg, rg) = b, g
+    e = _mul_rows(ring, rg, rb, k)[1:]
+    den, rows = _add_rows(db, rb, -db * dg * db, _mul_rows(ring, rb, e, k), None)
+    return canonical(ring, den, rows)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -482,21 +502,26 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         raise NoRationalSquareRoot(f"{lead_q} is not a nonzero rational square")
     rel = (f.prec - v) if f.prec is not None else window
     sign = root if branch >= 0 else -root
-    g = f.shift(-v).truncate(rel)
-    s = LaurentSeries.constant(f.ring, sign)
-    r = LaurentSeries.constant(f.ring, 1 / sign)
+    ring, g = f.ring, [(e - v, p) for e, p in f.rows]
+    start, inverse = Coeff.const(ring, sign), Coeff.const(ring, 1 / sign)
+    s = (start.den, ((0, start.payload),))
+    r = (inverse.den, ((0, inverse.payload),))
     k = 1
     while k < rel:
         k = min(2 * k, rel)
-        s = _as_polynomial(s + ((g.truncate(k) - s * s) * r).scale(Fraction(1, 2)))
+        (ds, rs), (dr, rr) = s, r
+        dd, d = _add_rows(f.den, g, -ds * ds, _mul_rows(ring, rs, rs, k), k)
+        den, rows = _add_rows(ds, rs, 2 * dd * dr, _mul_rows(ring, d, rr, k), None)
+        s = canonical(ring, den, rows)
         if k < rel:
-            r = _inverse_step(r, s, k)
-    result = s.shift(v // 2).truncate(v // 2 + rel)
+            r = _inverse_step(ring, r, s, k)
+    den, rows = s[0], tuple([(e + v // 2, p) for e, p in s[1]])
+    result = LaurentSeries(ring, den, rows, v // 2 + rel)
     if not f.exact:
         return result
-    candidate = _as_polynomial(result)
-    if not f.ring.has_nilpotents:
-        if 2 * result.rows[-1][0] != f.rows[-1][0]:
+    candidate = LaurentSeries(ring, den, rows, None)
+    if not ring.has_nilpotents:
+        if 2 * rows[-1][0] != f.rows[-1][0]:
             return result
         if f.rows[-1][0] < v + rel:
             return candidate

@@ -233,3 +233,37 @@ def factored_series(draw):
 def test_truncated_reconstruct_matches_the_full_product(case):
     nf, cut = case
     assert reconstruct(nf if cut is None else replace(nf, prec=cut)) == untruncated(nf, prec=cut)
+
+
+# -- many nilpotent negative terms ----------------------------------------------
+#
+# Peeling cancels one negative term per round; over eps^3 a round also
+# leaves eps^2 terms further down, so 20 terms take a few hundred rounds.
+
+
+def _negative_eps_terms(n):
+    return " + ".join([f"eps*z^-{j}" for j in range(1, n + 1)]) + " + 1"
+
+
+def test_factor_eps_z_to_the_minus_1_through_minus_20_plus_1():
+    from curveloops.cli import run
+    from curveloops.parser import parse_series
+
+    text = _negative_eps_terms(20)
+    alpha = parse_series(text)
+    assert alpha.ring == NIL3
+    nf = factor(alpha)
+    assert nf.prec is None
+    assert reconstruct(nf) == alpha
+    code, _ = run(["factor", text])
+    assert code == 0
+
+
+def test_factor_ring_nilpotent_2_eps_z_to_the_minus_1_through_minus_250_plus_1():
+    from curveloops.parser import parse_series
+
+    alpha = parse_series(_negative_eps_terms(250), nilpotent_ring(2))
+    nf = factor(alpha)
+    assert nf.prec is None
+    assert len(nf.neg) == 250
+    assert reconstruct(nf) == alpha

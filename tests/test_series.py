@@ -123,6 +123,70 @@ def test_pow_matches_repeated_mul():
     assert s ** 0 == LaurentSeries.one(RATIONAL)
 
 
+def _schoolbook(ring, a, b, hi):
+    """{e: entries} of the product of two series below z^hi (None: no cut),
+    from their ``Fraction`` entries, one pair of terms at a time."""
+    out = {}
+    for e, c in a.terms:
+        for f, d in b.terms:
+            if hi is not None and e + f >= hi:
+                continue
+            entries = out.setdefault(e + f, [Fraction(0)] * (len(c.data) + len(d.data) + 2))
+            for i, x in enumerate(c.data):
+                for j, y in enumerate(d.data):
+                    entries[i + j] += x * y
+    return out
+
+
+def _from_entries(ring, entries):
+    if ring == POLY:
+        return Coeff.poly(entries)
+    if ring == RATIONAL:
+        return Coeff.const(ring, entries[0])
+    return Coeff.nil(ring, entries)
+
+
+@st.composite
+def sparse_series(draw, ring):
+    """An exact series with one row, one constant row, or a few rows with
+    gaps up to 40, wider than the rows they separate."""
+    shape = draw(st.sampled_from(["one row", "constant row", "rows"]))
+    n = 1 if shape != "rows" else draw(st.integers(0, 5))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    start = draw(st.integers(-30, 30))
+    terms = {}
+    for gap in gaps:
+        if ring == RATIONAL or shape == "constant row":
+            entries = [draw(fractions.filter(bool))]
+        else:
+            size = 3 if ring == NIL3 else draw(st.integers(1, 4))
+            entries = draw(st.lists(fractions, min_size=size, max_size=size))
+        terms[start + gap] = _from_entries(ring, entries)
+        start += gap
+    return S(terms, ring=ring)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, NIL3, POLY], ids=str)
+@given(data=st.data())
+@settings(max_examples=80)
+def test_products_match_the_schoolbook_product(ring, data):
+    from curveloops.series import _mul_rows
+
+    a = data.draw(sparse_series(ring))
+    b = data.draw(st.one_of(st.just(a), sparse_series(ring)))
+    hi = data.draw(st.one_of(st.none(), st.integers(-70, 90)))
+
+    def expected(cut):
+        terms = _schoolbook(ring, a, b, cut)
+        return S({e: _from_entries(ring, v) for e, v in terms.items()}, cut, ring)
+
+    assert a * b == expected(None)
+    rows = _mul_rows(ring, a.rows, b.rows, hi)
+    assert LaurentSeries.from_rows(ring, a.den * b.den, rows, hi) == expected(hi)
+    q = data.draw(fractions)
+    assert a.scale(Coeff.const(ring, q)) == a.scale(q) == a * S({0: q}, ring=ring)
+
+
 @given(rational_series(), rational_series(), rational_series())
 @settings(max_examples=60)
 def test_ring_axioms(a, b, c):
@@ -253,3 +317,22 @@ def test_sqrt_squares_back(s):
     sq = s * s
     r = sqrt(sq, prec=5)
     assert (r * r) == sq.truncate((r * r).prec)
+
+
+# -- products with a single-entry row ----------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["3*z^-2 + 1/2 + z^5", "z^100000"])
+def test_single_entry_products_make_no_kernel_call(text, monkeypatch):
+    from curveloops import series
+    from curveloops.parser import parse_series
+
+    calls, kernel = [], series.packed_mul
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(series, "packed_mul", counted)
+    parse_series(text)
+    assert calls == []
