@@ -264,11 +264,28 @@ _HANDLERS = {
 }
 
 
+def _dash_values(argv) -> list:
+    """argv with each value that starts with "-" (``-z``, ``-1/2``) joined
+    to the flag before it, ``--x=-z``, or else moved after ``--`` as a
+    positional: argparse reads such a word as an option unless it looks
+    like a plain number, and ``-h`` is this CLI's only short option."""
+    out, positional = [], []
+    for word in argv:
+        value = word[:1] == "-" and word[:2] != "--" and word not in ("-", "-h")
+        if not value or "--" in out:
+            out.append(word)
+        elif out and out[-1][:2] == "--" and "=" not in out[-1] and out[-1] not in ("--json", "--help"):
+            out[-1] += "=" + word
+        else:
+            positional.append(word)
+    return out + ["--", *positional] if positional else out
+
+
 def run(argv) -> tuple[int, str]:
     """Execute one invocation; returns (exit code, output text)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_dash_values(argv))
     except SystemExit as exc:
         return (0 if exc.code in (0, None) else 2), ""
     try:

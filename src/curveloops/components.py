@@ -2,8 +2,9 @@
 
 The covering action multiplies pole orders, so its quotient forgets the
 order and remembers only the puncture; the census of quotient classes is
-1 (arcs) + one per puncture, except for the affine line whose loop space
-is a single component.
+1 (arcs) + one per puncture (on a line minus S, 1 + |S| + 1 with
+infinity), except for the affine line whose loop space is a single
+component.
 """
 
 from __future__ import annotations
@@ -84,15 +85,20 @@ def _specialize_loop(loop: Loop, t0: Fraction) -> Loop:
     return _loop(loop.curve, loop.x.specialize(t0), y, loop._certified)
 
 
-def _leading_rows(s: LaurentSeries, t0: Fraction) -> LaurentSeries:
+def _leading_rows(s: LaurentSeries, t0: Fraction, finite: tuple = ()) -> LaurentSeries:
     """s at t = t0 through its first row e that does not vanish there,
     known below e + 1; all of s at t0, zero below its precision, when
-    every row vanishes."""
+    every row vanishes.  A constant row whose value a is in ``finite`` (a
+    puncture of a line) is read on: a plus s - a through its first row
+    that does not vanish."""
     p, q = t0.numerator, t0.denominator
     for e, payload in s.rows:
         d = len(payload) - 1
         value = payload_at(payload, p, q, d)
         if value:
+            if not e and finite and (a := Fraction(value, s.den * q**d)) in finite:
+                rest = _leading_rows(s - LaurentSeries.constant(POLY, a), t0)
+                return rest + LaurentSeries.constant(RATIONAL, a)
             return LaurentSeries.from_rows(RATIONAL, s.den * q**d, [(e, (value,))], e + 1)
     return LaurentSeries(RATIONAL, 1, (), s.prec)
 
@@ -105,13 +111,14 @@ def classify_family(loop: Loop, t_values: Iterable[Fraction]) -> FamilyClassific
     jumps rather than rejected, since for the affine line jumps are real.
 
     A fiber is the loop at t = t0 checked with ``check_on_curve`` and
-    classified with ``classify_loop``.  On a1 and gm, and on a marked
-    loop, these read only the lowest exponent of x and y at t0 that does
-    not vanish, its coefficient, and the precision when there is none, so
-    each coordinate is specialised row by row up to that row only (the
-    mark of the parent certifies its fibers; see ``check_on_curve``).  An
-    unmarked loop on a hyperelliptic curve is specialised in full, since
-    its check reads every row.
+    classified with ``classify_loop``.  On a line, and on a marked loop,
+    these read only the lowest exponent of x and y at t0 that does not
+    vanish, its coefficient, and the precision when there is none, and on
+    a line, when x(0) is a puncture s, the same of x - s; so each
+    coordinate is specialised row by row up to that row only (the mark of
+    the parent certifies its fibers; see ``check_on_curve``).  An unmarked
+    loop on a hyperelliptic curve is specialised in full, since its check
+    reads every row.
     """
     if loop.ring != POLY:
         raise ValueError("classify_family needs a loop over Q[t]")
@@ -122,7 +129,7 @@ def classify_family(loop: Loop, t_values: Iterable[Fraction]) -> FamilyClassific
         try:
             if leading:
                 y = None if loop.y is None else _leading_rows(loop.y, t0)
-                fiber = Loop(loop.curve, _leading_rows(loop.x, t0), y)
+                fiber = Loop(loop.curve, _leading_rows(loop.x, t0, loop.curve.finite), y)
             else:
                 fiber = _specialize_loop(loop, t0)
             if not (loop._certified or check_on_curve(fiber)):

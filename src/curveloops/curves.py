@@ -1,7 +1,8 @@
 """Curve catalog, puncture charts, loops, and their component classification.
 
-Supported curves: the affine line, the punctured line (multiplicative
-group), and hyperelliptic curves y^2 = h(x) with h monic, squarefree, of
+Supported curves: the line minus a finite set S of distinct rational
+punctures (and infinity), spelled "a1" for S = {} and "gm" for S = {0},
+and hyperelliptic curves y^2 = h(x) with h monic, squarefree, of
 degree >= 3.  Each curve carries a chart at every puncture of the proper
 model: the local x and the branch of y there.  Loops are coordinate
 series satisfying the defining equation, and classification reads the
@@ -29,8 +30,10 @@ from .ring import RATIONAL, Coeff, Ring, _format_monomials, _power
 from .series import DEFAULT_PREC, LaurentSeries
 
 AFFINE_LINE = "a1"
-MULTIPLICATIVE = "gm"
+LINE = "line"
 HYPERELLIPTIC = "hyp"
+#: the lines with a name of their own: S = {} and S = {0}
+_NAMED_LINES = {AFFINE_LINE: (), "gm": (0,)}
 
 ARC = "arc"
 POLE = "pole"
@@ -51,10 +54,11 @@ class PunctureChart:
 
 @dataclass(frozen=True)
 class Curve:
-    kind: str
+    kind: str  # "hyp", or the spelling of a line: "a1", "gm" or "line:<S>"
     h: tuple[Fraction, ...]  # hyperelliptic coefficients, ascending; () otherwise
     genus: int
     punctures: tuple[PunctureChart, ...]
+    finite: tuple[Fraction, ...] = ()  # the finite punctures S of a line, ascending
 
     def puncture(self, label: str) -> PunctureChart:
         for chart in self.punctures:
@@ -193,18 +197,24 @@ def eval_poly_at_series(h: Sequence, x: LaurentSeries) -> LaurentSeries:
 
 
 def make_curve(kind: str, h: Iterable[Fraction | int] | None = None) -> Curve:
-    """Build a catalog curve, "a1", "gm" or "hyp" with the ascending
-    coefficients ``h`` of y^2 = h(x).  No series is expanded: each
-    puncture's chart is its local x and branch (see ``puncture_loop``)."""
-    if kind == AFFINE_LINE:
-        chart = PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1))
-        return Curve(kind, (), 0, (chart,))
-    if kind == MULTIPLICATIVE:
-        charts = (
-            PunctureChart("0", LaurentSeries.monomial(RATIONAL, 1)),
-            PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1)),
-        )
-        return Curve(kind, (), 0, charts)
+    """Build a catalog curve: "line" with the distinct finite punctures
+    ``h``, or "a1" and "gm", the lines with none and with 0; or "hyp" with
+    the ascending coefficients ``h`` of y^2 = h(x).  No series is
+    expanded: each puncture's chart is its local x, s + z at a finite
+    puncture s and z^-1 at infinity on a line, and its branch (see
+    ``puncture_loop``)."""
+    if kind in _NAMED_LINES:
+        kind, h = LINE, _NAMED_LINES[kind]
+    if kind == LINE:
+        points = [Fraction(s) for s in h]
+        finite = tuple(sorted(set(points)))
+        if len(finite) < len(points):
+            raise NotSquarefree("the punctures of a line must be distinct")
+        charts = [PunctureChart(str(s), LaurentSeries.build(RATIONAL, {0: s, 1: 1})) for s in finite]
+        charts.append(PunctureChart("infinity", LaurentSeries.monomial(RATIONAL, -1)))
+        spellings = {named: name for name, named in _NAMED_LINES.items()}
+        spelling = spellings.get(finite, "line:" + ",".join(map(str, finite)))
+        return Curve(spelling, (), 0, tuple(charts), finite)
     if kind != HYPERELLIPTIC:
         raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -240,8 +250,10 @@ def make_curve(kind: str, h: Iterable[Fraction | int] | None = None) -> Curve:
 def check_on_curve(loop: Loop) -> bool:
     """True iff the coordinates satisfy the curve up to the common precision.
 
-    On a hyperelliptic curve, y^2 - h(x) must have no stored term below its
-    precision, and a precision of 0 or less raises ``InsufficientPrecision``.
+    On a line, x - s must have a unit lowest coefficient at each finite
+    puncture s.  On a hyperelliptic curve, y^2 - h(x) must have no stored
+    term below its precision, and a precision of 0 or less raises
+    ``InsufficientPrecision``.
     A marked loop returns True at once; each marking constructor makes only
     loops for which the check would return True without raising:
 
@@ -249,8 +261,8 @@ def check_on_curve(loop: Loop) -> bool:
       prec y + ord_min y) by the product rule, is exact or positive:
       ``sqrt`` certifies y^2 = h(x) below exactly that precision.
     - ``puncture_loop`` and ``point_loop`` on a hyperelliptic curve,
-      through ``lift_x``; ``puncture_loop`` on a1 and gm, whose x = z^+-1
-      passes the check.
+      through ``lift_x``; ``puncture_loop`` on a line, whose x = s + z or
+      z^-1 passes the check.
     - ``forms._verify_third_kind``'s loop at the conjugate (a, -b) of a
       lifted point: y -> -y leaves y^2, so the check, unchanged.
     - ``cover_loop`` of a marked loop: z -> z^n maps the check term by
@@ -265,14 +277,16 @@ def check_on_curve(loop: Loop) -> bool:
     if loop._certified:
         return True
     curve = loop.curve
-    if curve.kind == AFFINE_LINE:
+    if curve.kind != HYPERELLIPTIC:
+        for s in curve.finite:
+            x = _minus(loop.x, s)
+            try:
+                v = x.valuation()
+            except ZeroSeries:
+                return False
+            if not x.coeff(v).is_unit():
+                return False
         return True
-    if curve.kind == MULTIPLICATIVE:
-        try:
-            v = loop.x.valuation()
-        except ZeroSeries:
-            return False
-        return loop.x.coeff(v).is_unit()
     if loop.y is None:
         return False
     r = loop.y * loop.y - eval_poly_at_series(curve.h, loop.x)
@@ -281,6 +295,11 @@ def check_on_curve(loop: Loop) -> bool:
     if r.prec is not None and r.prec <= 0:
         raise InsufficientPrecision("curve equation not certifiable at this precision")
     return True
+
+
+def _minus(x: LaurentSeries, s: Fraction) -> LaurentSeries:
+    """x - s; x itself for s = 0."""
+    return x - LaurentSeries.constant(x.ring, s) if s else x
 
 
 def _no_negative_part(s: LaurentSeries) -> bool:
@@ -300,13 +319,16 @@ def classify_loop(loop: Loop) -> ComponentClass:
     curve = loop.curve
     if curve.kind == AFFINE_LINE:
         return ComponentClass.a1(has_pole=not _no_negative_part(loop.x))
-    if curve.kind == MULTIPLICATIVE:
-        v = loop.x.valuation()
-        if v == 0:
+    if curve.kind != HYPERELLIPTIC:
+        v = loop.x.ord_min()  # every stored rational term is nonzero
+        if v is not None and v < 0:
+            return ComponentClass.pole("infinity", -v)
+        if not loop.x.exact and loop.x.prec < 1:
+            raise InsufficientPrecision("the constant term of x is not certified")
+        s = loop.x.coeff(0).as_fraction()
+        if s not in curve.finite:
             return ComponentClass.arc()
-        if v > 0:
-            return ComponentClass.pole("0", v)
-        return ComponentClass.pole("infinity", -v)
+        return ComponentClass.pole(str(s), _minus(loop.x, s).valuation())
 
     d = curve.degree
     x, y = loop.x, loop.y

@@ -6,7 +6,8 @@ residues are computed one way: pull the form back along an order-1 local
 loop (a puncture chart, or x = a + z at an affine point) and read the
 coefficient of z^-1.  Third-kind forms with residues +1/-1 at two
 prescribed places are constructed from classical formulas and then
-verified against that residue computation before being returned.
+verified against that residue computation before being returned.  On a
+line a finite puncture s and the point s are one place.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .curves import (
+    AFFINE_LINE,
     HYPERELLIPTIC,
-    MULTIPLICATIVE,
     Curve,
     Loop,
     _loop,
@@ -287,18 +288,23 @@ def family_residue_constancy(form: MeromorphicForm, loop: Loop) -> bool:
 
 def _place(curve: Curve, place: Place) -> Place:
     """The normal form of a place, as ``third_kind`` and its check compare
-    places: a puncture label of the curve; (a,) on the line, with the point
-    0 read as its puncture "0"; or (a, b) on a hyperelliptic curve, checked
-    to lie on it and not to be a Weierstrass point."""
+    places: a puncture label at infinity or on a hyperelliptic curve; (a,)
+    at a finite place a of a line, written as a point or as a label, so
+    the puncture ``0`` of ``gm`` and the point ``0`` of ``line:1`` are both
+    (0,); or (a, b) on a hyperelliptic curve, checked to lie on it and not
+    to be a Weierstrass point."""
     if isinstance(place, str):
-        if place not in [chart.label for chart in curve.punctures]:
-            raise UnsupportedPointPair(f"unknown puncture {place!r}")
-        return place
+        try:
+            if curve.kind == HYPERELLIPTIC or place == "infinity":
+                return curve.puncture(place).label
+            place = (Fraction(place),)
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise UnsupportedPointPair(f"unknown puncture {place!r}") from None
     place = tuple([Fraction(v) for v in place])
-    if curve.kind == MULTIPLICATIVE:
+    if curve.kind != HYPERELLIPTIC:
         if len(place) != 1:
             raise UnsupportedPointPair(f"a point of the line has one coordinate, got {len(place)}")
-        return "0" if place[0] == 0 else place
+        return place
     if len(place) != 2:
         raise UnsupportedPointPair(f"a point of this curve has two coordinates, got {len(place)}")
     a, b = place
@@ -312,12 +318,13 @@ def _place(curve: Curve, place: Place) -> Place:
 def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     """A 1-form with residue 1 at p, -1 at q, holomorphic elsewhere.
 
-    Supported on the projective line (multiplicative-group model) and on
-    hyperelliptic curves at punctures and finite non-Weierstrass rational
-    points.  The output's residues are recomputed and checked; a mismatch
-    raises ``VerificationFailed`` rather than returning a bad form.
+    Supported on a line with a finite puncture, at its punctures and
+    rational points, and on hyperelliptic curves at punctures and finite
+    non-Weierstrass rational points.  The output's residues are recomputed
+    and checked; a mismatch raises ``VerificationFailed`` rather than
+    returning a bad form.
 
-    The form is a weighted sum: dx/(x - a) at a finite point of the line,
+    The form is a weighted sum: dx/(x - a) at a finite place a of a line,
     and on a hyperelliptic curve the half-form at a finite point, with
     residue sign there and -sign/2 at each of two infinities (even degree)
     or -sign at the one infinity (odd degree).  On even degree x^g dx/y
@@ -325,7 +332,7 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     (target(oo-) - target(oo+)) / 2; the half-forms' own spill at infinity
     cancels, since all residues sum to zero.
     """
-    if curve.kind not in (MULTIPLICATIVE, HYPERELLIPTIC):
+    if curve.kind == AFFINE_LINE:
         raise UnsupportedPointPair("third-kind forms: projective line or hyperelliptic")
     p, q = _place(curve, p), _place(curve, q)
     if p == q:
@@ -334,10 +341,9 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     total = XYQuotient(XYPoly.const(0))
     infinity_weight = Fraction(0)
     for sign, place in ((1, p), (-1, q)):
-        if curve.kind == MULTIPLICATIVE:
+        if curve.kind != HYPERELLIPTIC:
             if place != "infinity":
-                a = 0 if place == "0" else place[0]
-                total += XYQuotient(XYPoly.const(sign), x - XYPoly.const(a))
+                total += XYQuotient(XYPoly.const(sign), x - XYPoly.const(place[0]))
         elif isinstance(place, tuple):
             # (y + b) / (2y (x - a)): residue 1 at (a, b), 0 at (a, -b)
             a, b = place
@@ -382,7 +388,7 @@ def _verify_third_kind(form: MeromorphicForm, p: Place, q: Place) -> None:
     expect(p, Fraction(1))
     expect(q, Fraction(-1))
     for chart in curve.punctures:
-        if chart.label not in (p, q):
+        if _place(curve, chart.label) not in (p, q):
             expect(chart.label, Fraction(0))
     for place in (p, q):
         if isinstance(place, tuple) and curve.kind == HYPERELLIPTIC:

@@ -251,10 +251,13 @@ def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
 
 
 def parse_curve_spec(text: str) -> Curve:
-    """Curve specs: ``a1``, ``gm``, ``hyp:h=x^3+1``."""
+    """Curve specs: ``a1``, ``gm``, ``line:0,1,-1/2`` (the line minus those
+    rational points), ``hyp:h=x^3+1``."""
     text = text.strip()
     if text in ("a1", "gm"):
         return make_curve(text)
+    if text.startswith("line:"):
+        return make_curve("line", parse_fraction_list(text[len("line:"):]))
     m = re.fullmatch(r"hyp:h=(.+)", text)
     if not m:
         raise ParseError(f"unknown curve spec {text!r}", 0)

@@ -283,6 +283,9 @@ def test_prec_without_a_lift_changes_nothing(argv, text):
                 "error: the two places must differ\n",
             ),
             (["census", "--curve", "hyp:h=(x^3+1)/2"], "error: h must be monic\n"),
+            # a constant loop at a puncture, and a repeated puncture
+            (["classify", "--curve", "line:0,1", "--x", "1"], "error: loop does not lie on the curve\n"),
+            (["census", "--curve", "line:0,0"], "error: the punctures of a line must be distinct\n"),
             # a divisor with no inverse is named as a division, not sent to
             # the normal form, which factor already is
             *(
@@ -328,6 +331,25 @@ def test_domain_argv_exits_1(argv, text):
                 ["thirdkind", "--curve", "hyp:h=x^24+1", "--p", "infinity+", "--q", "infinity-"],
                 "form=(-x^11)/(y) dx\nres[infinity+]=1\nres[infinity-]=-1\n",
             ),
+            # lines minus rational punctures
+            (
+                ["census", "--curve", "line:0,1"],
+                "classes=4\narc\npuncture 0\npuncture 1\npuncture infinity\n",
+            ),
+            (["classify", "--curve", "line:0,1", "--x", "1 + z^2"], "class=Pole punct=1 order=2\n"),
+            (
+                ["thirdkind", "--curve", "line:0,1", "--p", "0", "--q", "1"],
+                "form=(-1)/(-x + x^2) dx\nres[0]=1\nres[1]=-1\n",
+            ),
+            (
+                ["thirdkind", "--curve", "line:1", "--p", "0", "--q", "infinity"],
+                "form=(1)/(x) dx\nres[0]=1\nres[infinity]=-1\n",
+            ),
+            (
+                ["family", "--curve", "line:1", "--x", "1 + t*z + z^2", "--t", "0,1,2"],
+                "t=0 class=Pole punct=1 order=2\nt=1 class=Pole punct=1 order=1\n"
+                "t=2 class=Pole punct=1 order=1\njumps=0\n",
+            ),
             # rational coefficients in h
             (["census", "--curve", "hyp:h=x^3 + 1/2*x + 1"], "classes=2\narc\npuncture infinity\n"),
             (
@@ -342,6 +364,49 @@ def test_argv_answers(argv, text):
 
 
 @pytest.mark.parametrize(
+    "argv,spelled,text",
+    [
+        pytest.param(argv, spelled, text, id=" ".join(argv))
+        for argv, spelled, text in [
+            (
+                ["classify", "--curve", "gm", "--x", "-z"],
+                ["classify", "--curve", "gm", "--x=-z"],
+                "class=Pole punct=0 order=1\n",
+            ),
+            (
+                ["thirdkind", "--curve", "gm", "--p", "1", "--q", "-1/2"],
+                ["thirdkind", "--curve", "gm", "--p", "1", "--q=-1/2"],
+                "form=(3/2)/(-1/2 - 1/2*x + x^2) dx\nres[1]=1\nres[-1/2]=-1\n",
+            ),
+            (
+                ["family", "--curve", "a1", "--x", "z", "--t", "-1,2"],
+                ["family", "--curve", "a1", "--x", "z", "--t=-1,2"],
+                "t=-1 class=A1 connected has_pole=false\nt=2 class=A1 connected has_pole=false\n"
+                "jumps=none\n",
+            ),
+            (["factor", "-z"], ["factor", "--", "-z"], "unit=-1 order=1 neg={} pos={}\n"),
+            (["factor", "-z", "--prec", "3"], ["factor", "--prec", "3", "--", "-z"], "unit=-1 order=1 neg={} pos={}\n"),
+        ]
+    ],
+)
+def test_value_that_starts_with_a_dash_answers(argv, spelled, text):
+    """A value that starts with "-" reads as argparse reads it spelled with
+    ``=``, or after ``--`` for ``factor``'s series."""
+    assert run(argv) == run(spelled) == (0, text)
+
+
+def test_line_0_gives_gm_bytes():
+    """Every ``gm`` argv of the byte corpus and of ``GOLDEN_CLI``, with the
+    curve spelled ``line:0``."""
+    replayed = 0
+    for argv, code, text in [*CORPUS, *GOLDEN_CLI]:
+        if "gm" in argv:
+            assert run(["line:0" if word == "gm" else word for word in argv]) == (code, text), argv
+            replayed += 1
+    assert replayed == 35
+
+
+@pytest.mark.parametrize(
     "argv,text",
     [
         pytest.param(argv, text, id=" ".join(argv)[:80])
@@ -349,6 +414,7 @@ def test_argv_answers(argv, text):
             (["residue", "--curve", "gm", "--x", "z", "--form", "0^-1"], "division by zero"),
             (["residue", "--curve", "gm", "--x", "z", "--form", "(x - x)^-1"], "division by zero"),
             (["census", "--curve", "hyp:h=x^3 + 1/x"], "expected a polynomial in x"),
+            (["census", "--curve", "line:"], "not a rational number: ''"),
             (["factor", "(" * 300 + "z" + ")" * 300], "expression nested too deeply"),
             (
                 ["residue", "--curve", "gm", "--x", "z", "--form", "(" * 300 + "1/x" + ")" * 300],
@@ -571,11 +637,12 @@ LOOPS = st.one_of(st.sampled_from(["z", "z^-1", "z^-2", "1 + z", "z^-2 + z", "z 
 FORMS = st.one_of(st.sampled_from(["1/x", "x", "1/(x - 1)", "y/x", "1/y dx", "x^2/(1 + y)"]), TEXTS)
 CURVES = st.sampled_from(
     ["a1", "gm", "hyp:h=x^3+1", "hyp:h=x^4-1", "hyp:h=x^5+1", "hyp:h=x^3", "hyp:h=x^3+1/0",
-     "hyp:h=x^2+1", "hyp:h=(x^3+1)/2", "bogus", ""]
+     "hyp:h=x^2+1", "hyp:h=(x^3+1)/2", "bogus", "", "line:0,1", "line:-1/2,3", "line:0,0", "line:",
+     "line:1/0", "line:a"]
 )
 PLACES = st.sampled_from(
     ["0", "infinity", "infinity+", "infinity-", "1", "-2", "(0,1)", "(0,-1)", "(2,3)", "(-1,0)",
-     "(0,1", "()", "1/0", "-0", "(0,1,5)", "a"]
+     "(0,1", "()", "1/0", "-0", "(0,1,5)", "a", "-1/2", "3"]
 )
 #: The optional flags of each subcommand, with the values drawn for them.
 OPTIONS = {

@@ -201,3 +201,31 @@ def test_family_fibers_match_the_full_specialisation(drawn):
     result = classify_family(loop, ts)
     for t0, fiber in zip(ts, result.fibers):
         assert (fiber.component, fiber.error) == _full_fiber(loop, t0), t0
+
+
+@st.composite
+def line_family_loops(draw):
+    """(loop over Q[t] on a line minus S, t values).  The constant row of
+    x is s + b (t - root) for a puncture s, so the fiber at the sampled
+    root, or every fiber when b = 0, sits at s to first order; rows above
+    it and one pole row may vanish at the root too."""
+    finite = draw(st.lists(st.sampled_from(FIBER_TS), unique=True, min_size=1, max_size=3))
+    root = draw(st.sampled_from(FIBER_TS))
+    s, b = draw(st.sampled_from(finite)), draw(small)
+    vanishing = Coeff.poly([-root, 1]).scale(draw(small.filter(bool)))
+    terms = {0: Coeff.poly([s - b * root, b])}
+    if draw(st.booleans()):
+        terms[-draw(st.integers(1, 3))] = vanishing
+    for e in draw(st.sets(st.integers(1, 6), max_size=3)):
+        terms[e] = vanishing if draw(st.booleans()) else Coeff.poly(draw(st.lists(small, max_size=3)))
+    x = LaurentSeries.build(POLY, terms, draw(st.one_of(st.none(), st.integers(1, 8))))
+    return Loop(make_curve("line", finite), x), (root,) + FIBER_TS
+
+
+@given(line_family_loops())
+@settings(max_examples=150, deadline=None)
+def test_line_family_fibers_match_the_full_specialisation(drawn):
+    loop, ts = drawn
+    result = classify_family(loop, ts)
+    for t0, fiber in zip(ts, result.fibers):
+        assert (fiber.component, fiber.error) == _full_fiber(loop, t0), t0

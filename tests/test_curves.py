@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curveloops.cli import run
 from curveloops.curves import (
     ComponentClass,
     Loop,
@@ -24,6 +25,7 @@ from curveloops.errors import (
     NotSquarefree,
     RingMismatch,
 )
+from curveloops.parser import format_series
 from curveloops.ring import POLY, RATIONAL, Coeff, nilpotent_ring
 from curveloops.series import LaurentSeries
 
@@ -158,6 +160,63 @@ def test_classify_gm():
     assert classify_loop(Loop(GM, S({0: 5, 1: 1}))) == ComponentClass.arc()
     assert classify_loop(Loop(GM, S({2: 1, 3: 4}))) == ComponentClass.pole("0", 2)
     assert classify_loop(Loop(GM, S({-3: 7}))) == ComponentClass.pole("infinity", 3)
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _line_spec(finite) -> str:
+    return "line:" + ",".join(map(str, finite)) if finite else "a1"
+
+
+@st.composite
+def line_loops(draw):
+    """A line minus S (``a1`` when S is empty, in the drawn order), a loop
+    on it, and the class its construction fixes: s + c z^n + (higher
+    terms) has a pole of order n at s in S, c z^-n + ... one of order n at
+    infinity, and a + (higher terms) with a not in S, a constant loop
+    included, is an arc; on ``a1`` every loop is in the one class."""
+    finite = draw(st.lists(RATIONALS, unique=True, max_size=3))
+    n = draw(st.integers(1, 4))
+    c = draw(RATIONALS.filter(bool))
+    shape = draw(st.sampled_from(["puncture", "infinity", "arc"] if finite else ["infinity", "arc"]))
+    if shape == "puncture":
+        s = draw(st.sampled_from(finite))
+        low, terms, want = n, {0: s, n: c}, f"class=Pole punct={s} order={n}"
+    elif shape == "infinity":
+        low, terms, want = -n, {-n: c}, f"class=Pole punct=infinity order={n}"
+    else:
+        a = draw(RATIONALS.filter(lambda a: a not in finite))
+        low, terms, want = 0, {0: a}, "class=Arc"
+    for e, v in draw(st.dictionaries(st.integers(1, 6), RATIONALS, max_size=3)).items():
+        terms[low + e] = v
+    prec = draw(st.none() | st.integers(low + 1, low + 8))
+    if not finite:
+        want = f"class=A1 connected has_pole={'true' if shape == 'infinity' else 'false'}"
+    return _line_spec(finite), S(terms, prec), want
+
+
+@given(line_loops())
+@settings(max_examples=300, deadline=None)
+def test_classify_on_random_lines_by_construction(args):
+    spec, x, want = args
+    assert run(["classify", "--curve", spec, "--x", format_series(x)]) == (0, want + "\n")
+
+
+@given(
+    st.lists(RATIONALS, unique=True, min_size=1, max_size=3),
+    st.data(),
+    st.sampled_from(["", " + O(z^{n})", " + eps*z^{n}", " + eps*z^{n} + O(z^{m})"]),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_loops_that_stay_at_a_puncture_exit_1(finite, data, tail, n):
+    """x = s, x = s + O(z^N) and x = s + eps z^n + ... with s in S leave the
+    curve or certify nothing; each exits 1 with one line."""
+    s = data.draw(st.sampled_from(finite))
+    x = f"{s}" + tail.format(n=n, m=n + 2)
+    code, text = run(["classify", "--curve", _line_spec(finite), "--x", x])
+    assert code == 1 and text.startswith("error: ") and text.count("\n") == 1, (x, text)
 
 
 def test_classify_hyp_odd():

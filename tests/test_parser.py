@@ -146,6 +146,17 @@ def test_parse_curve_spec():
         parse_curve_spec("elliptic")
 
 
+def test_line_specs_print_as_the_named_lines_and_in_ascending_order():
+    assert parse_curve_spec("line:0") == parse_curve_spec("gm")
+    curve = parse_curve_spec("line: 1, -1/2")
+    assert str(curve) == curve.kind == "line:-1/2,1"
+    assert curve.finite == (Fraction(-1, 2), Fraction(1))
+    assert [chart.label for chart in curve.punctures] == ["-1/2", "1", "infinity"]
+    for spec in ("line:", "line:1/0", "line:a"):
+        with pytest.raises(ParseError):
+            parse_curve_spec(spec)
+
+
 def test_parse_place():
     assert parse_place("infinity+") == "infinity+"
     assert parse_place("0") == "0"

@@ -131,7 +131,9 @@ def _schoolbook(ring, a, b, hi):
         for f, d in b.terms:
             if hi is not None and e + f >= hi:
                 continue
-            entries = out.setdefault(e + f, [Fraction(0)] * (len(c.data) + len(d.data) + 2))
+            # an exponent is met by pairs of different lengths: grow to the longest
+            entries = out.setdefault(e + f, [])
+            entries += [Fraction(0)] * (len(c.data) + len(d.data) + 2 - len(entries))
             for i, x in enumerate(c.data):
                 for j, y in enumerate(d.data):
                     entries[i + j] += x * y
