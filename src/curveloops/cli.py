@@ -23,27 +23,14 @@ from .parser import (
     parse_series,
     parse_xy_rational,
 )
-from .ring import POLY, RATIONAL, Ring, format_coeff, nilpotent_ring
+from .ring import POLY, Ring, format_coeff, parse_ring
 from .series import DEFAULT_PREC
 
 
-def _parse_ring_flag(text: str | None) -> Ring | None:
+def _ring_flag(text: str | None) -> Ring | None:
     """The ring ``--ring`` names; None, to infer it, when the flag is absent
     or empty."""
-    if not text:
-        return None
-    if text == "rational":
-        return RATIONAL
-    if text == "poly":
-        return POLY
-    if text.startswith("nilpotent:"):
-        try:
-            return nilpotent_ring(int(text[len("nilpotent:"):]))
-        except ValueError:
-            raise ParseError(
-                f"nilpotency order must be an integer >= 2 in {text!r}", len("nilpotent:")
-            ) from None
-    raise ParseError(f"unknown ring {text!r}", 0)
+    return parse_ring(text) if text else None
 
 
 def _int_at_least(low: int):
@@ -140,7 +127,7 @@ def _class_json(c: curves.ComponentClass) -> dict:
 
 
 def _cmd_factor(args):
-    s = parse_series(args.series, _parse_ring_flag(args.ring))
+    s = parse_series(args.series, _ring_flag(args.ring))
     nf = normal_form.factor(s, prec=args.prec)
     data = {
         "unit": format_coeff(nf.unit),
@@ -154,7 +141,7 @@ def _cmd_factor(args):
 
 def _cmd_classify(args):
     curve = parse_curve_spec(args.curve)
-    loop = _build_loop(args, curve, _parse_ring_flag(args.ring), args.branch)
+    loop = _build_loop(args, curve, _ring_flag(args.ring), args.branch)
     if not curves.check_on_curve(loop):
         raise LoopSpaceError("loop does not lie on the curve")
     cls = curves.classify_loop(loop)
@@ -197,7 +184,7 @@ def _cmd_residue(args):
     curve = parse_curve_spec(args.curve)
     num, den = parse_xy_rational(args.form)
     form = forms.MeromorphicForm.build(curve, num, den)
-    loop = _build_loop(args, curve, _parse_ring_flag(args.ring), args.branch)
+    loop = _build_loop(args, curve, _ring_flag(args.ring), args.branch)
     r = forms.residue_along(form, loop)
     return [f"residue={format_coeff(r)}"], {"residue": format_coeff(r)}
 

@@ -1,7 +1,9 @@
 """Meromorphic 1-forms on catalog curves and their residue calculus.
 
 A form is a rational function num/den in the affine coordinates (reduced
-so that y appears to degree < 2 on hyperelliptic curves) times dx.  All
+so that y appears to degree < 2 on hyperelliptic curves) times dx.  A
+polynomial in x and y is stored as the exact series over Q[t] of its
+rows in y (see ``XYPoly``) and printed by ``format_xy``.  All
 residues are computed one way: pull the form back along an order-1 local
 loop (a puncture chart, or x = a + z at an affine point) and read the
 coefficient of z^-1.  Third-kind forms with residues +1/-1 at two
@@ -17,7 +19,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .curves import (
-    AFFINE_LINE,
     HYPERELLIPTIC,
     Curve,
     Loop,
@@ -50,98 +51,75 @@ def format_place(place: Place) -> str:
     return "(" + ", ".join(str(v) for v in place) + ")"
 
 
-@dataclass(frozen=True)
 class XYPoly:
-    """Polynomial in x and y with rational coefficients.
+    """Constructors of polynomials in x and y with rational coefficients.
 
-    ``series`` holds its rows A_j(x), indexed by the y-degree j: the exact
-    Laurent polynomial sum A_j(t) z^j over Q[t], with z standing for y and
-    t for x.  Arithmetic, ``==`` and ``hash`` are those of the series; on a
-    curve the y-degree is reduced below 2 via y^2 = h(x).
+    A polynomial is the exact ``LaurentSeries`` over Q[t] of its rows
+    A_j(x), indexed by the y-degree j: sum A_j(t) z^j, with z standing for
+    y and t for x; ``reduce_y``, ``evaluate_along`` and ``format_xy`` read
+    it as a polynomial.
     """
 
-    series: LaurentSeries
-
     @staticmethod
-    def build(mapping) -> "XYPoly":
+    def build(mapping) -> LaurentSeries:
         """The polynomial sum c x^i y^j of a mapping {(i, j): c}."""
         terms = [LaurentSeries.monomial(POLY, j, Coeff.t(i, c)) for (i, j), c in mapping.items()]
-        return XYPoly(sum(terms, LaurentSeries.zero(POLY)))
+        return sum(terms, LaurentSeries.zero(POLY))
 
     @staticmethod
-    def const(c) -> "XYPoly":
+    def const(c) -> LaurentSeries:
         q = Fraction(c)
-        return XYPoly(LaurentSeries.from_rows(POLY, q.denominator, [(0, (q.numerator,))], None))
+        return LaurentSeries.from_rows(POLY, q.denominator, [(0, (q.numerator,))], None)
 
     @staticmethod
-    def x(power: int = 1) -> "XYPoly":
-        return XYPoly(LaurentSeries.from_rows(POLY, 1, [(0, (0,) * power + (1,))], None))
+    def x(power: int = 1) -> LaurentSeries:
+        return LaurentSeries.from_rows(POLY, 1, [(0, (0,) * power + (1,))], None)
 
     @staticmethod
-    def y(power: int = 1) -> "XYPoly":
-        return XYPoly(LaurentSeries.from_rows(POLY, 1, [(power, (1,))], None))
+    def y(power: int = 1) -> LaurentSeries:
+        return LaurentSeries.from_rows(POLY, 1, [(power, (1,))], None)
 
-    def is_zero(self) -> bool:
-        return self.series.is_zero()
 
-    def __add__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(self.series + other.series)
+def reduce_y(p: LaurentSeries, h: Sequence[Fraction]) -> LaurentSeries:
+    """The polynomial p with y^2 replaced by h(x): A(x) + B(x) y with
+    A = sum A_2k(x) h^k and B = sum A_2k+1(x) h^k, each by Horner's rule
+    in h."""
+    if not h or not p.rows or p.rows[-1][0] < 2:
+        return p
+    hh = Coeff.poly(h)
+    halves = [Coeff.zero(POLY)] * 2
+    for j in range(p.rows[-1][0], -1, -1):
+        halves[j % 2] = halves[j % 2] * hh + p.coeff(j)
+    return LaurentSeries.build(POLY, dict(enumerate(halves)))
 
-    def __neg__(self) -> "XYPoly":
-        return XYPoly(-self.series)
 
-    def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(self.series - other.series)
+def evaluate_along(p: LaurentSeries, loop: Loop) -> LaurentSeries:
+    """The polynomial p along the loop, A_0(x) + y (A_1(x) + y (...)):
+    each A_j(x), and then the sum in y, by ``eval_poly_at_series``."""
+    if not p.rows:
+        return LaurentSeries.zero(loop.ring)
+    top = p.rows[-1][0]
+    rows: list = [0] * (top + 1)
+    for j, row in p.rows:
+        rows[j] = eval_poly_at_series(row, loop.x)
+    value = eval_poly_at_series(rows, loop.y) if top else rows[0]
+    return value if p.den == 1 else value.scale(Fraction(1, p.den))
 
-    def __mul__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(self.series * other.series)
 
-    def __pow__(self, n: int) -> "XYPoly":
-        """The n-th power, n >= 0."""
-        return XYPoly(self.series ** n)
-
-    def scale(self, q) -> "XYPoly":
-        return XYPoly(self.series.scale(Fraction(q)))
-
-    def reduce(self, h: Sequence[Fraction]) -> "XYPoly":
-        """Replace y^2 by h(x): A(x) + B(x) y with A = sum A_2k(x) h^k and
-        B = sum A_2k+1(x) h^k, each by Horner's rule in h."""
-        s = self.series
-        if not h or not s.rows or s.rows[-1][0] < 2:
-            return self
-        hh = Coeff.poly(h)
-        halves = [Coeff.zero(POLY)] * 2
-        for j in range(s.rows[-1][0], -1, -1):
-            halves[j % 2] = halves[j % 2] * hh + s.coeff(j)
-        return XYPoly(LaurentSeries.build(POLY, dict(enumerate(halves))))
-
-    def evaluate(self, loop: Loop) -> LaurentSeries:
-        """The polynomial along the loop, A_0(x) + y (A_1(x) + y (...)): each
-        A_j(x), and then the sum in y, by ``eval_poly_at_series``."""
-        s = self.series
-        if not s.rows:
-            return LaurentSeries.zero(loop.ring)
-        top = s.rows[-1][0]
-        rows: list = [0] * (top + 1)
-        for j, row in s.rows:
-            rows[j] = eval_poly_at_series(row, loop.x)
-        value = eval_poly_at_series(rows, loop.y) if top else rows[0]
-        return value if s.den == 1 else value.scale(Fraction(1, s.den))
-
-    def __str__(self):
-        s = self.series
-        return _format_monomials([
-            ("*".join([p for p in (_power("x", i), _power("y", j)) if p]), Fraction(v, s.den))
-            for j, row in s.rows
-            for i, v in enumerate(row)
-            if v
-        ])
+def format_xy(p: LaurentSeries) -> str:
+    """The polynomial p as the CLI prints it, such as ``-x^2 + 2*y``."""
+    return _format_monomials([
+        ("*".join([m for m in (_power("x", i), _power("y", j)) if m]), Fraction(v, p.den))
+        for j, row in p.rows
+        for i, v in enumerate(row)
+        if v
+    ])
 
 
 _ONE = XYPoly.const(1)
 
 
-def _times(p: XYPoly, q: XYPoly) -> XYPoly:
+def _times(p: LaurentSeries, q: LaurentSeries) -> LaurentSeries:
     """p * q, skipping a factor of one: every curve spec and most forms
     have denominator 1, and (a*1 + b*1, 1*1) is (a + b, 1)."""
     return q if p == _ONE else p if q == _ONE else p * q
@@ -153,8 +131,8 @@ class XYQuotient(NamedTuple):
     are those of rational functions, not of tuples; dividing by zero, or
     raising zero to a negative power, raises ``ZeroDivisionError``."""
 
-    num: XYPoly
-    den: XYPoly = _ONE
+    num: LaurentSeries
+    den: LaurentSeries = _ONE
 
     def __add__(self, other: "XYQuotient") -> "XYQuotient":
         num = _times(self.num, other.den) + _times(other.num, self.den)
@@ -183,24 +161,25 @@ class XYQuotient(NamedTuple):
 
 @dataclass(frozen=True)
 class MeromorphicForm:
-    """(num/den) dx on a catalog curve, with y-degree reduced below 2."""
+    """(num/den) dx on a catalog curve, for polynomials num and den in x
+    and y (see ``XYPoly``) with y-degree reduced below 2."""
 
     curve: Curve
-    num: XYPoly
-    den: XYPoly
+    num: LaurentSeries
+    den: LaurentSeries
 
     @staticmethod
-    def build(curve: Curve, num: XYPoly, den: XYPoly) -> "MeromorphicForm":
-        if curve.kind != HYPERELLIPTIC and any(j for f in (num, den) for j, _ in f.series.rows):
+    def build(curve: Curve, num: LaurentSeries, den: LaurentSeries) -> "MeromorphicForm":
+        if curve.kind != HYPERELLIPTIC and any(j for f in (num, den) for j, _ in f.rows):
             raise LoopSpaceError(f"the form uses y, which the curve {curve} does not have")
-        num = num.reduce(curve.h)
-        den = den.reduce(curve.h)
+        num = reduce_y(num, curve.h)
+        den = reduce_y(den, curve.h)
         if den.is_zero():
             raise FormSingularAlongLoop("form denominator is zero on the curve")
         return MeromorphicForm(curve, num, den)
 
     def __str__(self):
-        num, den = str(self.num), str(self.den)
+        num, den = format_xy(self.num), format_xy(self.den)
         if den == "1":
             return f"({num}) dx"
         return f"({num})/({den}) dx"
@@ -218,12 +197,12 @@ def _pulled_back(form: MeromorphicForm, loop: Loop, residue_only: bool) -> Laure
         raise ValueError("loop and form live on different curves")
     if not check_on_curve(loop):
         raise LoopSpaceError("loop does not lie on the curve")
-    den = form.den.evaluate(loop)
+    den = evaluate_along(form.den, loop)
     if den.zero_to_prec():
         raise FormSingularAlongLoop(
             "denominator vanishes along the loop (to the stored precision)"
         )
-    num = form.num.evaluate(loop)
+    num = evaluate_along(form.num, loop)
     dx = loop.x.derivative()
     v = den.ord_min()
     w = DEFAULT_PREC if den.exact else den.prec - v  # the window of den.invert()
@@ -318,11 +297,10 @@ def _place(curve: Curve, place: Place) -> Place:
 def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     """A 1-form with residue 1 at p, -1 at q, holomorphic elsewhere.
 
-    Supported on a line with a finite puncture, at its punctures and
-    rational points, and on hyperelliptic curves at punctures and finite
-    non-Weierstrass rational points.  The output's residues are recomputed
-    and checked; a mismatch raises ``VerificationFailed`` rather than
-    returning a bad form.
+    Supported on a line, at its punctures and rational points, and on
+    hyperelliptic curves at punctures and finite non-Weierstrass rational
+    points.  The output's residues are recomputed and checked; a mismatch
+    raises ``VerificationFailed`` rather than returning a bad form.
 
     The form is a weighted sum: dx/(x - a) at a finite place a of a line,
     and on a hyperelliptic curve the half-form at a finite point, with
@@ -332,8 +310,6 @@ def third_kind(curve: Curve, p: Place, q: Place) -> MeromorphicForm:
     (target(oo-) - target(oo+)) / 2; the half-forms' own spill at infinity
     cancels, since all residues sum to zero.
     """
-    if curve.kind == AFFINE_LINE:
-        raise UnsupportedPointPair("third-kind forms: projective line or hyperelliptic")
     p, q = _place(curve, p), _place(curve, q)
     if p == q:
         raise UnsupportedPointPair("the two places must differ")

@@ -230,8 +230,10 @@ def parse_series(text: str, ring: Ring | None = None) -> LaurentSeries:
     return value.truncate(parser.prec)
 
 
-def parse_xy_rational(text: str) -> tuple[XYPoly, XYPoly]:
-    """Parse a rational function in x and y (an optional trailing dx is eaten)."""
+def parse_xy_rational(text: str) -> tuple[LaurentSeries, LaurentSeries]:
+    """Parse a rational function in x and y (an optional trailing dx is
+    eaten) into a numerator and a denominator, polynomials as ``XYPoly``
+    stores them."""
     value = _ExprParser(re.sub(r"\bdx\s*$", "", text.strip()), _xy_atom).parse()
     return value.num, value.den
 
@@ -240,28 +242,33 @@ def parse_x_polynomial(text: str) -> tuple[Fraction, ...]:
     """Parse a polynomial in x, over a nonzero constant denominator, into
     an ascending coefficient tuple."""
     num, den = parse_xy_rational(text)
-    (j, c), *rest = den.series.rows  # den is never zero
-    rows = num.series.rows
-    if rest or j or len(c) > 1 or (rows and rows[-1][0]):
+    (j, c), *rest = den.rows  # den is never zero
+    if rest or j or len(c) > 1 or (num.rows and num.rows[-1][0]):
         raise ParseError("expected a polynomial in x", 0)
-    if den.series.den != c[0]:  # den is not one
-        num = num.scale(Fraction(den.series.den, c[0]))
-        rows = num.series.rows
-    return tuple([Fraction(v, num.series.den) for v in (rows[0][1] if rows else (0,))])
+    if den.den != c[0]:  # den is not one
+        num = num.scale(Fraction(den.den, c[0]))
+    return tuple([Fraction(v, num.den) for v in (num.rows[0][1] if num.rows else (0,))])
 
 
 def parse_curve_spec(text: str) -> Curve:
     """Curve specs: ``a1``, ``gm``, ``line:0,1,-1/2`` (the line minus those
-    rational points), ``hyp:h=x^3+1``."""
+    rational points), ``hyp:h=x^3+1``.  A parse error names its position
+    in ``text``, blanks around the spec included."""
+    start = len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("a1", "gm"):
         return make_curve(text)
     if text.startswith("line:"):
-        return make_curve("line", parse_fraction_list(text[len("line:"):]))
-    m = re.fullmatch(r"hyp:h=(.+)", text)
-    if not m:
-        raise ParseError(f"unknown curve spec {text!r}", 0)
-    return make_curve("hyp", parse_x_polynomial(m.group(1)))
+        kind, parse, at = "line", parse_fraction_list, len("line:")
+    elif re.fullmatch(r"hyp:h=.+", text):
+        kind, parse, at = "hyp", parse_x_polynomial, len("hyp:h=")
+    else:
+        raise ParseError(f"unknown curve spec {text!r}", start)
+    try:
+        data = parse(text[at:])
+    except ParseError as exc:
+        raise ParseError(exc.message, start + at + exc.position) from None
+    return make_curve(kind, data)
 
 
 _PUNCTURES = ("0", "infinity", "infinity+", "infinity-")

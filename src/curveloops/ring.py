@@ -1,19 +1,20 @@
-"""Exact coefficient arithmetic for the three supported base rings.
+"""Exact coefficient arithmetic over Q, Q[eps]/(eps^k) and Q[t].
 
-Coefficients live in one of:
-
-* the rationals (``RATIONAL``),
-* a nilpotent extension Q[eps]/(eps^k), k >= 2 (``nilpotent_ring(k)``),
-* the polynomial ring Q[t], for one-parameter families (``POLY``).
+A ``Ring`` is its truncation order alone: order k >= 2 is the nilpotent
+extension Q[eps]/(eps^k) (``nilpotent_ring(k)``), Q is the same ring at
+k = 1 (``RATIONAL``), and order None is the polynomial ring Q[t], for
+one-parameter families (``POLY``).  ``str`` names a ring and
+``parse_ring`` reads the name back.
 
 A value is stored exactly as integers over one denominator, the format
 of one row of a ``LaurentSeries``: a ``Coeff`` is ``(ring, den, payload)``
 and stands for payload / den.  ``canonical`` states the payload rules
 (``nonzero_rows`` with no gcd pass), and ``payload_is_unit`` and
 ``payload_is_nilpotent`` are the ring's tests on a payload, so that series
-code never branches on the ring.  Values are immutable; mixing rings
-raises ``RingMismatch``.  ``Coeff.data`` reads a value back as
-``fractions.Fraction`` entries.
+code never branches on the ring.  Each rule reads the order once: None is
+Q[t], and any k, Q included, is a truncated ring.  Values are immutable;
+mixing rings raises ``RingMismatch``.  ``Coeff.data`` reads a value back
+as ``fractions.Fraction`` entries.
 
 Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (laid
 out and cut by ``series._mul_rows``), go through one kernel, ``packed_mul``,
@@ -52,49 +53,63 @@ from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import NotAUnit, RingMismatch
-
-RATIONAL_KIND = "rational"
-NILPOTENT_KIND = "nilpotent"
-POLY_KIND = "poly"
+from .errors import NotAUnit, ParseError, RingMismatch
 
 Scalar = Union[int, Fraction]
+
+_NILPOTENT = "nilpotent:"
 
 
 @dataclass(frozen=True)
 class Ring:
-    """Descriptor of a coefficient ring; ``order`` is the nilpotency k."""
+    """A coefficient ring, named by its truncation order: 1 is Q, k >= 2
+    is Q[eps]/eps^k, and None is Q[t], which is not truncated.  Build a
+    nilpotent ring with ``nilpotent_ring``, which checks k."""
 
-    kind: str
-    order: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (RATIONAL_KIND, NILPOTENT_KIND, POLY_KIND):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == NILPOTENT_KIND:
-            if self.order is None or self.order < 2:
-                raise ValueError("nilpotency order must be an integer >= 2")
-        elif self.order is not None:
-            raise ValueError("order is only meaningful for nilpotent rings")
+    order: int | None
 
     def __str__(self):
-        if self.kind == NILPOTENT_KIND:
-            return f"nilpotent:{self.order}"
-        return self.kind
+        if self.order is None:
+            return "poly"
+        return "rational" if self.order == 1 else f"{_NILPOTENT}{self.order}"
+
+    @property
+    def kind(self) -> str:
+        """The ring's name without its order: rational, nilpotent or poly."""
+        return str(self).partition(":")[0]
 
     @property
     def has_nilpotents(self) -> bool:
         """Whether the ring has nonzero nilpotents (Q[eps]/eps^k); Q and
         Q[t] are integral domains."""
-        return self.kind == NILPOTENT_KIND
+        return self.order is not None and self.order > 1
 
 
-RATIONAL = Ring(RATIONAL_KIND)
-POLY = Ring(POLY_KIND)
+RATIONAL = Ring(1)
+POLY = Ring(None)
 
 
 def nilpotent_ring(k: int) -> Ring:
-    return Ring(NILPOTENT_KIND, k)
+    """Q[eps]/eps^k, for an integer k >= 2."""
+    if not isinstance(k, int) or k < 2:
+        raise ValueError("nilpotency order must be an integer >= 2")
+    return Ring(k)
+
+
+def parse_ring(text: str) -> Ring:
+    """The ring whose ``str`` is ``text``: ``rational``, ``poly`` or
+    ``nilpotent:k`` for an integer k >= 2."""
+    for ring in (RATIONAL, POLY):
+        if text == str(ring):
+            return ring
+    if not text.startswith(_NILPOTENT):
+        raise ParseError(f"unknown ring {text!r}", 0)
+    try:
+        return nilpotent_ring(int(text[len(_NILPOTENT):]))
+    except ValueError:
+        raise ParseError(
+            f"nilpotency order must be an integer >= 2 in {text!r}", len(_NILPOTENT)
+        ) from None
 
 
 # -- the payload rules ----------------------------------------------------
@@ -123,7 +138,7 @@ def nonzero_rows(ring: Ring, rows: Iterable) -> list:
     """The (e, payload) pairs of ``rows`` with a nonzero payload, each
     payload a tuple, over Q[t] with trailing zeros trimmed: the payload
     rules of ``canonical``, without its gcd pass."""
-    poly = ring.kind == POLY_KIND
+    poly = ring.order is None
     out = []
     for e, p in rows:
         if poly:
@@ -139,17 +154,18 @@ def nonzero_rows(ring: Ring, rows: Iterable) -> list:
 def payload_is_unit(ring: Ring, p: Sequence[int]) -> bool:
     """Whether the payload ``p`` is a unit: its constant term is nonzero,
     and over Q[t] it is a constant."""
-    if ring.kind == NILPOTENT_KIND:
-        return p[0] != 0
-    return len(p) == 1 and p[0] != 0
+    if ring.order is None:
+        return len(p) == 1 and p[0] != 0
+    return p[0] != 0
 
 
 def payload_is_nilpotent(ring: Ring, p: Sequence[int]) -> bool:
     """Whether the payload ``p`` lies in the nilradical: over Q[eps]/eps^k
-    its constant term vanishes; Q and Q[t] have no nonzero nilpotents."""
-    if ring.kind == NILPOTENT_KIND:
-        return not p[0]
-    return not any(p)
+    (Q is k = 1) its constant term vanishes; Q[t] has no nonzero
+    nilpotents."""
+    if ring.order is None:
+        return not any(p)
+    return not p[0]
 
 
 def payload_at(c: Sequence[int], p: int, q: int, d: int) -> int:
@@ -289,11 +305,10 @@ class Coeff:
     def const(ring: Ring, value: Scalar) -> "Coeff":
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
         n = q.numerator
-        if ring.kind == NILPOTENT_KIND:
-            return Coeff(ring, q.denominator, (n,) + (0,) * (ring.order - 1))
-        if not n and ring.kind == POLY_KIND:
-            return Coeff(ring, 1, ())
-        return Coeff(ring, q.denominator, (n,))
+        k = ring.order
+        if k is None:
+            return Coeff(ring, q.denominator, (n,) if n else ())
+        return Coeff(ring, q.denominator, (n,) + (0,) * (k - 1))
 
     @staticmethod
     def zero(ring: Ring) -> "Coeff":
@@ -318,9 +333,9 @@ class Coeff:
     @staticmethod
     def nil(ring: Ring, coeffs: Iterable[Scalar]) -> "Coeff":
         """sum c_i eps^i, padded with zeros and cut at eps^k."""
-        if ring.kind != NILPOTENT_KIND:
-            raise RingMismatch("nil() needs a nilpotent ring")
         k = ring.order
+        if k is None or k == 1:
+            raise RingMismatch("nil() needs a nilpotent ring")
         return _from_scalars(ring, (list(coeffs) + [0] * k)[:k])
 
     # -- predicates ----------------------------------------------------
@@ -393,7 +408,7 @@ class Coeff:
     def specialize(self, t0: Scalar) -> "Coeff":
         """Evaluate a Q[t] coefficient at t = t0, landing in the rationals:
         for t0 = p/q and degree d, (sum c_i p^i q^(d-i)) / (den q^d)."""
-        if self.ring.kind != POLY_KIND:
+        if self.ring.order is not None:
             raise RingMismatch("specialize needs a Q[t] coefficient")
         if not self.payload:
             return Coeff.zero(RATIONAL)
@@ -404,17 +419,17 @@ class Coeff:
 
     def as_fraction(self) -> Fraction:
         """The value of a rational (or constant) coefficient: over
-        Q[eps]/eps^k the eps part must vanish."""
-        if self.ring.kind == NILPOTENT_KIND:
-            if any(self.payload[1:]):
-                raise RingMismatch("nilpotent coefficient is not a plain fraction")
-        elif len(self.payload) > 1:
-            raise RingMismatch("non-constant polynomial coefficient")
+        Q[eps]/eps^k (Q is k = 1) the eps part must vanish."""
+        if self.ring.order is None:
+            if len(self.payload) > 1:
+                raise RingMismatch("non-constant polynomial coefficient")
+        elif any(self.payload[1:]):
+            raise RingMismatch("nilpotent coefficient is not a plain fraction")
         return Fraction(self.payload[0], self.den) if self.payload else Fraction(0)
 
     def poly_degree(self) -> int:
         """Degree of a Q[t] coefficient (-1 for the zero polynomial)."""
-        if self.ring.kind != POLY_KIND:
+        if self.ring.order is not None:
             raise RingMismatch("poly_degree needs a Q[t] coefficient")
         return len(self.payload) - 1
 
@@ -448,7 +463,7 @@ def _format_monomials(pairs) -> str:
 
 
 def format_coeff(c: Coeff) -> str:
-    symbol = "eps" if c.ring.kind == NILPOTENT_KIND else "t"
+    symbol = "t" if c.ring.order is None else "eps"
     return _format_monomials([(_power(symbol, i), q) for i, q in enumerate(c.data) if q])
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     InsufficientPrecision,
@@ -63,7 +63,10 @@ from .ring import (
 #: input forces an infinite expansion (inverses, square roots, ...).
 DEFAULT_PREC = 24
 
-CoeffLike = Union[Coeff, int, Fraction]
+#: ``X | Y``, not ``typing.Union``: typing caches every Union it builds, so
+#: after the package is dropped from ``sys.modules`` and imported again the
+#: cache would keep the old ``Coeff``, and the modules it reaches, alive
+CoeffLike = Coeff | int | Fraction
 
 
 def resolve_prec(prec: int | None) -> int:

@@ -411,20 +411,23 @@ def test_line_0_gives_gm_bytes():
     [
         pytest.param(argv, text, id=" ".join(argv)[:80])
         for argv, text in [
-            (["residue", "--curve", "gm", "--x", "z", "--form", "0^-1"], "division by zero"),
-            (["residue", "--curve", "gm", "--x", "z", "--form", "(x - x)^-1"], "division by zero"),
-            (["census", "--curve", "hyp:h=x^3 + 1/x"], "expected a polynomial in x"),
-            (["census", "--curve", "line:"], "not a rational number: ''"),
-            (["factor", "(" * 300 + "z" + ")" * 300], "expression nested too deeply"),
+            (["residue", "--curve", "gm", "--x", "z", "--form", "0^-1"], "division by zero (at position 0)"),
+            (["residue", "--curve", "gm", "--x", "z", "--form", "(x - x)^-1"], "division by zero (at position 0)"),
+            # a position in a curve spec counts from the start of --curve
+            (["census", "--curve", "hyp:h=x^3 + 1/x"], "expected a polynomial in x (at position 6)"),
+            (["census", "--curve", "line:"], "not a rational number: '' (at position 5)"),
+            (["census", "--curve", "line:0,a"], "not a rational number: 'a' (at position 7)"),
+            (["census", "--curve", "hyp:h=x^3+@"], "unexpected character '@' (at position 10)"),
+            (["factor", "(" * 300 + "z" + ")" * 300], "expression nested too deeply (at position 0)"),
             (
                 ["residue", "--curve", "gm", "--x", "z", "--form", "(" * 300 + "1/x" + ")" * 300],
-                "expression nested too deeply",
+                "expression nested too deeply (at position 0)",
             ),
         ]
     ],
 )
 def test_parse_error_argv_exits_2(argv, text):
-    assert run(argv) == (2, f"parse error: {text} (at position 0)\n")
+    assert run(argv) == (2, f"parse error: {text}\n")
 
 
 @pytest.mark.parametrize(

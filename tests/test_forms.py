@@ -23,9 +23,12 @@ from curveloops.forms import (
     MeromorphicForm,
     XYPoly,
     dlog_x,
+    evaluate_along,
     exact_rank,
     family_residue_constancy,
+    format_xy,
     pullback,
+    reduce_y,
     residue_along,
     residue_at_place,
     residue_sum,
@@ -50,14 +53,14 @@ def S(terms, prec=None):
 
 def test_xypoly_reduction():
     y2 = XYPoly.y(2)
-    reduced = y2.reduce(HYP3.h)
+    reduced = reduce_y(y2, HYP3.h)
     assert reduced == XYPoly.build({(0, 0): 1, (3, 0): 1})
 
 
 def test_xypoly_str():
     p = XYPoly.x() - XYPoly.const(1)
-    assert str(p) == "-1 + x"
-    assert str(XYPoly.build({(0, 1): 2, (2, 0): -1})) == "-x^2 + 2*y"
+    assert format_xy(p) == "-1 + x"
+    assert format_xy(XYPoly.build({(0, 1): 2, (2, 0): -1})) == "-x^2 + 2*y"
 
 
 def test_xypoly_evaluation_is_sparse(monkeypatch):
@@ -71,7 +74,7 @@ def test_xypoly_evaluation_is_sparse(monkeypatch):
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
     poly = XYPoly.x(20000) + XYPoly.const(1)
-    value = poly.evaluate(Loop(GM, S({-1: 1})))
+    value = evaluate_along(poly, Loop(GM, S({-1: 1})))
     assert value == S({-20000: 1, 0: 1})
     assert len(products) <= 2 * (20000).bit_length()
 
@@ -199,11 +202,15 @@ def _outcome(curve, p, q):
 def test_third_kind_grid_keeps_its_outcomes(spec):
     """Answers stay byte-identical and exceptions keep their class; on the
     line a spelling of 0 now answers as the puncture "0" does, or raises
-    that the two places must differ."""
+    that the two places must differ.  The line without punctures, whose
+    forms were refused, answers as ``gm`` does, messages included."""
     curve = parse_curve_spec(spec)
     for p in GRID_PLACES:
         for q in GRID_PLACES:
             got = _outcome(curve, p, q)
+            if spec == "a1":
+                assert got == _outcome(GM, p, q), (p, q)
+                continue
             if spec == "gm":  # read a spelling of 0 as the puncture "0"
                 p0, q0 = ["0" if v in ZERO_SPELLINGS else v for v in (p, q)]
             else:
@@ -242,19 +249,19 @@ def old_residue_along(form, loop):
         raise ValueError("loop and form live on different curves")
     if not check_on_curve(Loop(loop.curve, loop.x, loop.y)):
         raise LoopSpaceError("loop does not lie on the curve")
-    den = form.den.evaluate(loop)
+    den = evaluate_along(form.den, loop)
     if den.zero_to_prec():
         raise FormSingularAlongLoop(
             "denominator vanishes along the loop (to the stored precision)"
         )
-    num = form.num.evaluate(loop)
+    num = evaluate_along(form.num, loop)
     return (num * den.invert() * loop.x.derivative()).residue()
 
 
 def old_evaluate(poly, loop):
-    """XYPoly.evaluate as it was: a table of the powers of x and y, and one
+    """evaluate_along as it was: a table of the powers of x and y, and one
     scaled product per term."""
-    terms = [(i, j, c) for j, row in poly.series.terms for i, c in enumerate(row.data) if c]
+    terms = [(i, j, c) for j, row in poly.terms for i, c in enumerate(row.data) if c]
     ring = loop.ring
     xs = {i: loop.x ** i for i in {i for i, _, _ in terms if i}}
     ys = {j: loop.y ** j for j in {j for _, j, _ in terms if j}}
@@ -348,7 +355,7 @@ def residue_cases(draw):
         nums += [Y, Y + X.scale(3), X * Y]
         dens += [Y, Y * (X - a), Y.scale(2) * (X - a)]
     num, den = draw(st.sampled_from(nums)), draw(st.sampled_from(dens))
-    if den.reduce(curve.h).is_zero():
+    if reduce_y(den, curve.h).is_zero():
         den = one
     return MeromorphicForm.build(curve, num, den), loop
 
@@ -366,7 +373,7 @@ def test_evaluate_matches_the_power_table(case):
     form, loop = case
     # num * den is not reduced: up to y^2 on hyperelliptic curves
     for poly in (form.num, form.den, form.num * form.den):
-        got, want = outcome(poly.evaluate, loop), outcome(old_evaluate, poly, loop)
+        got, want = outcome(evaluate_along, poly, loop), outcome(old_evaluate, poly, loop)
         assert got == want
         if isinstance(got, LaurentSeries):
             assert (got.rows, got.prec) == (want.rows, want.prec)

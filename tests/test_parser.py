@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveloops.errors import ParseError
+from curveloops.forms import XYPoly, format_xy
 from curveloops.parser import (
     format_normal_form,
     format_series,
@@ -88,10 +89,29 @@ def test_parse_errors_carry_position():
 
 def test_parse_xy_rational():
     num, den = parse_xy_rational("(y + 1)/(2*y*(x - 2)) dx")
-    assert str(num) == "1 + y"
-    assert str(den) == "-4*y + 2*x*y"
+    assert format_xy(num) == "1 + y"
+    assert format_xy(den) == "-4*y + 2*x*y"
     num, den = parse_xy_rational("x^2 - 1")
-    assert str(den) == "1"
+    assert format_xy(den) == "1"
+
+
+xy_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 3)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    max_size=6,
+).map(XYPoly.build)
+
+
+@given(xy_polys)
+def test_format_xy_round_trips(p):
+    """A printed polynomial parses back to itself: each fraction
+    coefficient is a division, so the denominator is the constant c of
+    those divisors, 1 exactly when every coefficient is an integer."""
+    num, den = parse_xy_rational(format_xy(p))
+    ((j, c),) = den.rows
+    assert j == 0 and len(c) == 1
+    assert num == p * den
+    assert (den == XYPoly.const(1)) == (p.den == 1)
 
 
 def test_parse_x_polynomial():
@@ -304,7 +324,7 @@ def _outcome(parse, *args):
         return [type(exc).__name__, str(exc)]
     if isinstance(value, LaurentSeries):
         return [format_series(value), str(value.ring), value.prec]
-    return [str(p) for p in value]
+    return [format_xy(p) for p in value]
 
 
 def corpus_outcomes(series, forms):

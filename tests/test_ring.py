@@ -4,13 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from curveloops.errors import NotAUnit, RingMismatch
+from curveloops.errors import NotAUnit, ParseError, RingMismatch
 from curveloops.ring import (
     POLY,
     RATIONAL,
     Coeff,
     format_coeff,
     nilpotent_ring,
+    parse_ring,
 )
 
 NIL3 = nilpotent_ring(3)
@@ -53,6 +54,34 @@ def test_unit_and_nilpotent_predicates():
     assert Coeff.zero(RATIONAL).is_nilpotent()
     assert not Coeff.t().is_unit()
     assert Coeff.poly([3]).is_unit()
+
+
+def test_a_ring_is_its_truncation_order():
+    """Q is the truncated ring of order 1, without nilpotents and without
+    eps; every ring's name reads back as the ring."""
+    assert RATIONAL.order == 1
+    assert not RATIONAL.has_nilpotents
+    assert POLY.order is None and not POLY.has_nilpotents
+    assert all(nilpotent_ring(k).has_nilpotents for k in range(2, 7))
+    with pytest.raises(RingMismatch):
+        Coeff.eps(RATIONAL)
+    for ring in [RATIONAL, POLY] + [nilpotent_ring(k) for k in range(2, 7)]:
+        assert parse_ring(str(ring)) == ring
+    assert [r.kind for r in (RATIONAL, nilpotent_ring(4), POLY)] == ["rational", "nilpotent", "poly"]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("nilpotent:1", "nilpotency order must be an integer >= 2 in 'nilpotent:1' (at position 10)"),
+        ("nilpotent:x", "nilpotency order must be an integer >= 2 in 'nilpotent:x' (at position 10)"),
+        ("bogus", "unknown ring 'bogus' (at position 0)"),
+    ],
+)
+def test_parse_ring_rejects_what_names_no_ring(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_ring(text)
+    assert str(info.value) == message
 
 
 def test_ring_mismatch_rejected():
