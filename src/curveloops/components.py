@@ -9,10 +9,9 @@ component.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .curves import (
     A1_CONNECTED,
@@ -31,10 +30,11 @@ from .ring import POLY, RATIONAL, payload_at
 from .series import LaurentSeries
 
 
-@dataclass(frozen=True)
-class QuotientClass:
-    kind: str  # "arc" | "puncture"
-    puncture: str | None = None
+class QuotientClass(namedtuple("QuotientClass", "kind puncture", defaults=(None,))):
+    """A class of the covering-action quotient: ``kind`` is "arc", or
+    "puncture" with the puncture's label."""
+
+    __slots__ = ()
 
     @staticmethod
     def arc() -> "QuotientClass":
@@ -64,18 +64,11 @@ def pi0_census(curve: Curve) -> int:
     return 1 + len(curve.punctures)
 
 
-@dataclass(frozen=True)
-class FiberResult:
-    t: Fraction
-    component: ComponentClass | None
-    error: str | None = None
+#: the fiber at t: its ``ComponentClass``, or None and the error it raised
+FiberResult = namedtuple("FiberResult", "t component error", defaults=(None,))
 
-
-@dataclass(frozen=True)
-class FamilyClassification:
-    fibers: tuple[FiberResult, ...]
-    generic: ComponentClass | None
-    jumps: tuple[Fraction, ...]
+#: every fiber, the most common class among them, and the t of the others
+FamilyClassification = namedtuple("FamilyClassification", "fibers generic jumps")
 
 
 def _specialize_loop(loop: Loop, t0: Fraction) -> Loop:

@@ -18,11 +18,11 @@ relation: the first generator pair goes to a transposition and a 3-cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
 
 from .errors import SizeMismatch, TooLarge
+from .ring import Value
 
 #: Largest n for which S_n is counted: S_30 has 5604 irreducible
 #: characters, and the count takes one big-integer power for each.
@@ -33,16 +33,25 @@ LARGEST_N = 30
 PRINTED_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class Perm:
-    """Permutation of {1..n}; ``images[i]`` is the image of i+1."""
+class Perm(Value):
+    """Permutation of {1..n}; ``images[i]`` is the image of i+1.  A
+    ``Value``, checked on construction."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @staticmethod
     def identity(n: int) -> "Perm":
@@ -102,16 +111,15 @@ def commutator(a: Perm, b: Perm) -> Perm:
     return compose(compose(a, b), compose(a.inverse(), b.inverse()))
 
 
-@dataclass(frozen=True)
 class GeneratorAssignment:
     """Images of the 2g standard generators (a1, b1, ..., ag, bg)."""
 
-    genus: int
-    images: tuple[Perm, ...]
+    __slots__ = ("genus", "images")
 
-    def __post_init__(self):
-        if len(self.images) != 2 * self.genus:
+    def __init__(self, genus: int, images: tuple[Perm, ...]):
+        if len(images) != 2 * genus:
             raise ValueError("need exactly 2g generator images")
+        self.genus, self.images = genus, images
 
 
 def surface_relation(assign: GeneratorAssignment) -> Perm:

@@ -11,10 +11,10 @@ component invariant (arc, or puncture plus pole order) off valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 from . import series as _series
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
     ZeroSeries,
 )
-from .ring import RATIONAL, Coeff, Ring, _format_monomials, _power
+from .ring import RATIONAL, Coeff, Ring, Value, _format_monomials, _power
 from .series import DEFAULT_PREC, LaurentSeries
 
 AFFINE_LINE = "a1"
@@ -40,25 +40,36 @@ POLE = "pole"
 A1_CONNECTED = "a1"
 
 
-@dataclass(frozen=True)
-class PunctureChart:
+class PunctureChart(namedtuple("PunctureChart", "label x branch", defaults=(1,))):
     """A puncture of the proper model: its ``label``, the affine x as a
     series in the local parameter, and the ``branch`` that ``lift_x``
     takes there (+1, except -1 at infinity-).  The chart stores no y: a
     hyperelliptic puncture's y is expanded by ``puncture_loop``."""
 
-    label: str
-    x: LaurentSeries
-    branch: int = 1
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Curve:
-    kind: str  # "hyp", or the spelling of a line: "a1", "gm" or "line:<S>"
-    h: tuple[Fraction, ...]  # hyperelliptic coefficients, ascending; () otherwise
-    genus: int
-    punctures: tuple[PunctureChart, ...]
-    finite: tuple[Fraction, ...] = ()  # the finite punctures S of a line, ascending
+class Curve(Value):
+    """A catalog curve, built by ``make_curve``.  ``kind`` is "hyp", or the
+    spelling of a line: "a1", "gm" or "line:<S>"; ``h`` holds the
+    hyperelliptic coefficients, ascending, and is () otherwise; ``finite``
+    holds the finite punctures S of a line, ascending."""
+
+    __slots__ = ("kind", "h", "genus", "punctures", "finite")
+
+    def __init__(self, kind: str, h: tuple[Fraction, ...], genus: int,
+                 punctures: tuple[PunctureChart, ...], finite: tuple[Fraction, ...] = ()):
+        self.kind, self.h, self.genus, self.punctures = kind, h, genus, punctures
+        self.finite = finite
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.h, self.genus, self.punctures, self.finite) == (
+            other.kind, other.h, other.genus, other.punctures, other.finite)
+
+    def __hash__(self):
+        return hash((self.kind, self.h, self.genus, self.punctures, self.finite))
 
     def puncture(self, label: str) -> PunctureChart:
         for chart in self.punctures:
@@ -77,19 +88,28 @@ class Curve:
         return self.kind
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(Value):
     """A loop into the curve: coordinate series over one ring.
 
     ``Loop(curve, x, y)`` is unchecked; the constructors listed in
     ``check_on_curve`` mark the loops that lie on the curve by
-    construction.  The mark takes no part in ``==``, ``hash`` or ``repr``.
+    construction, and ``_loop`` sets that mark right after ``__init__``,
+    the one assignment to a field of a built ``Value``.  The mark takes no
+    part in ``==``, ``hash`` or ``repr``.
     """
 
-    curve: Curve
-    x: LaurentSeries
-    y: LaurentSeries | None = None
-    _certified: bool = field(default=False, init=False, compare=False, repr=False)
+    __slots__ = ("curve", "x", "y", "_certified")
+
+    def __init__(self, curve: Curve, x: LaurentSeries, y: LaurentSeries | None = None):
+        self.curve, self.x, self.y, self._certified = curve, x, y, False
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve, self.x, self.y) == (other.curve, other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.curve, self.x, self.y))
 
     @property
     def ring(self) -> Ring:
@@ -99,13 +119,13 @@ class Loop:
 def _loop(curve: Curve, x: LaurentSeries, y: LaurentSeries | None, certified: bool) -> Loop:
     """``Loop(curve, x, y)``, marked as on the curve when ``certified``."""
     loop = Loop(curve, x, y)
-    if certified:
-        object.__setattr__(loop, "_certified", True)
+    loop._certified = certified
     return loop
 
 
-@dataclass(frozen=True)
-class ComponentClass:
+class ComponentClass(namedtuple(
+    "ComponentClass", "kind puncture pole_order has_pole", defaults=(None, None, None)
+)):
     """The component invariant of a loop.
 
     ``kind`` is "arc", "pole" (with puncture label and order), or "a1"
@@ -113,10 +133,7 @@ class ComponentClass:
     informational there).
     """
 
-    kind: str
-    puncture: str | None = None
-    pole_order: int | None = None
-    has_pole: bool | None = None
+    __slots__ = ()
 
     @staticmethod
     def arc() -> "ComponentClass":

@@ -14,9 +14,9 @@ line a finite puncture s and the point s are one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
 
 from .curves import (
     HYPERELLIPTIC,
@@ -39,7 +39,7 @@ from .series import DEFAULT_PREC, LaurentSeries
 
 #: A place of the proper model: a puncture label, or an affine rational
 #: point given as (a,) on genus-0 curves and (a, b) on hyperelliptic ones.
-Place = Union[str, tuple]
+Place = str | tuple
 
 
 def format_place(place: Place) -> str:
@@ -125,14 +125,16 @@ def _times(p: LaurentSeries, q: LaurentSeries) -> LaurentSeries:
     return q if p == _ONE else p if q == _ONE else p * q
 
 
-class XYQuotient(NamedTuple):
+class XYQuotient:
     """The rational function num/den in x and y, not reduced to lowest
     terms: the value of a form while it is built.  Its +, -, *, / and **
-    are those of rational functions, not of tuples; dividing by zero, or
-    raising zero to a negative power, raises ``ZeroDivisionError``."""
+    are those of rational functions; dividing by zero, or raising zero to
+    a negative power, raises ``ZeroDivisionError``."""
 
-    num: LaurentSeries
-    den: LaurentSeries = _ONE
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentSeries, den: LaurentSeries = _ONE):
+        self.num, self.den = num, den
 
     def __add__(self, other: "XYQuotient") -> "XYQuotient":
         num = _times(self.num, other.den) + _times(other.num, self.den)
@@ -159,14 +161,11 @@ class XYQuotient(NamedTuple):
         return XYQuotient(num, den) if n >= 0 else XYQuotient(den, num)
 
 
-@dataclass(frozen=True)
-class MeromorphicForm:
+class MeromorphicForm(namedtuple("MeromorphicForm", "curve num den")):
     """(num/den) dx on a catalog curve, for polynomials num and den in x
     and y (see ``XYPoly``) with y-degree reduced below 2."""
 
-    curve: Curve
-    num: LaurentSeries
-    den: LaurentSeries
+    __slots__ = ()
 
     @staticmethod
     def build(curve: Curve, num: LaurentSeries, den: LaurentSeries) -> "MeromorphicForm":

@@ -28,7 +28,7 @@ vectors. Part 1", arXiv:0804.3888): its coefficient at z^n is
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import nlargest
 
@@ -37,21 +37,16 @@ from .ring import Coeff, Ring, canonical
 from .series import LaurentSeries, _coeff_rows, _mul_rows, resolve_prec
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "ring unit order neg pos prec", defaults=(None,))):
     """Factorization data (unit, order, negative part, positive part).
 
-    ``prec`` is the absolute precision up to which ``reconstruct`` is
-    guaranteed to reproduce the factored series (None: the form is exact).
-    The positive part is stored for degrees j with order + j < prec.
+    ``neg`` and ``pos`` are ascending (degree, ``Coeff``) pairs.  ``prec``
+    is the absolute precision up to which ``reconstruct`` is guaranteed to
+    reproduce the factored series (None: the form is exact).  The positive
+    part is stored for degrees j with order + j < prec.
     """
 
-    ring: Ring
-    unit: Coeff
-    order: int
-    neg: tuple[tuple[int, Coeff], ...]
-    pos: tuple[tuple[int, Coeff], ...]
-    prec: int | None = None
+    __slots__ = ()
 
 
 def _peel(ring: Ring, i: int, a: Coeff, delta: Coeff) -> tuple[int, int, tuple]:

@@ -12,9 +12,9 @@ and stands for payload / den.  ``canonical`` states the payload rules
 (``nonzero_rows`` with no gcd pass), and ``payload_is_unit`` and
 ``payload_is_nilpotent`` are the ring's tests on a payload, so that series
 code never branches on the ring.  Each rule reads the order once: None is
-Q[t], and any k, Q included, is a truncated ring.  Values are immutable;
-mixing rings raises ``RingMismatch``.  ``Coeff.data`` reads a value back
-as ``fractions.Fraction`` entries.
+Q[t], and any k, Q included, is a truncated ring.  Values are immutable
+by convention (see ``Value``); mixing rings raises ``RingMismatch``.
+``Coeff.data`` reads a value back as ``fractions.Fraction`` entries.
 
 Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (laid
 out and cut by ``series._mul_rows``), go through one kernel, ``packed_mul``,
@@ -47,26 +47,49 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 from .errors import NotAUnit, ParseError, RingMismatch
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _NILPOTENT = "nilpotent:"
 
 
-@dataclass(frozen=True)
-class Ring:
+class Value:
+    """Base of the value types: ``__slots__`` classes, each with its own
+    ``__init__``, ``==`` and ``hash`` over its fields, and none of a
+    tuple's behaviour.  No method assigns a field after ``__init__``, so a
+    value is immutable by convention.  ``repr`` names each field in
+    ``__slots__`` that does not start with "_"."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"]
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Ring(Value):
     """A coefficient ring, named by its truncation order: 1 is Q, k >= 2
     is Q[eps]/eps^k, and None is Q[t], which is not truncated.  Build a
     nilpotent ring with ``nilpotent_ring``, which checks k."""
 
-    order: int | None
+    __slots__ = ("order",)
+
+    def __init__(self, order: int | None):
+        self.order = order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self):
+        return hash((self.order,))
 
     def __str__(self):
         if self.order is None:
@@ -282,15 +305,23 @@ def packed_mul(
     return [values[at:at + stride] + pad for at in range(0, slots, stride)]
 
 
-@dataclass(frozen=True, slots=True)
-class Coeff:
+class Coeff(Value):
     """An element of one of the supported rings: ``payload`` / ``den``, in
     the form of ``canonical`` (the constructors below build it), so ``==``
     and ``hash`` compare values."""
 
-    ring: Ring
-    den: int
-    payload: tuple[int, ...]
+    __slots__ = ("ring", "den", "payload")
+
+    def __init__(self, ring: Ring, den: int, payload: tuple[int, ...]):
+        self.ring, self.den, self.payload = ring, den, payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.den, self.payload) == (other.ring, other.den, other.payload)
+
+    def __hash__(self):
+        return hash((self.ring, self.den, self.payload))
 
     @property
     def data(self) -> tuple[Fraction, ...]:

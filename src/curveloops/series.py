@@ -31,12 +31,11 @@ exponent.  ``terms`` and ``coeff`` read rows as ``Coeff`` values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import (
     InsufficientPrecision,
@@ -52,6 +51,7 @@ from .ring import (
     Coeff,
     Ring,
     Scalar,
+    Value,
     canonical,
     nonzero_rows,
     packed_mul,
@@ -63,9 +63,9 @@ from .ring import (
 #: input forces an infinite expansion (inverses, square roots, ...).
 DEFAULT_PREC = 24
 
-#: ``X | Y``, not ``typing.Union``: typing caches every Union it builds, so
-#: after the package is dropped from ``sys.modules`` and imported again the
-#: cache would keep the old ``Coeff``, and the modules it reaches, alive
+#: What ``build``, ``monomial``, ``constant`` and ``scale`` take as a
+#: coefficient.  A ``types.UnionType`` is cached nowhere, so once the package
+#: is dropped from ``sys.modules`` nothing keeps the old ``Coeff`` alive
 CoeffLike = Coeff | int | Fraction
 
 
@@ -173,14 +173,23 @@ def _power(ring: Ring, base: tuple, n: int) -> tuple:
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentSeries:
-    """Element of A((z)); immutable, canonical (see the module docstring)."""
+class LaurentSeries(Value):
+    """Element of A((z)); a ``Value``, canonical (see the module docstring)."""
 
-    ring: Ring
-    den: int
-    rows: tuple[tuple[int, tuple[int, ...]], ...]
-    prec: int | None
+    __slots__ = ("ring", "den", "rows", "prec")
+
+    def __init__(self, ring: Ring, den: int, rows: tuple[tuple[int, tuple[int, ...]], ...],
+                 prec: int | None):
+        self.ring, self.den, self.rows, self.prec = ring, den, rows, prec
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.den, self.rows, self.prec) == (
+            other.ring, other.den, other.rows, other.prec)
+
+    def __hash__(self):
+        return hash((self.ring, self.den, self.rows, self.prec))
 
     # -- construction ---------------------------------------------------
 
@@ -268,7 +277,7 @@ class LaurentSeries:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "LaurentSeries") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,23 @@ def test_selftest_smoke():
     lines = text.strip().splitlines()
     assert len(lines) == 9
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_cli_imports_no_class_machinery():
+    """Every CLI call imports the package first: that import must not load
+    ``dataclasses``, ``typing`` or ``inspect``, which generate and compile
+    class methods at import time.  ``-S`` keeps site-packages, and
+    whatever a site hook imports, out of the check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, curveloops.cli; "
+             "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -232,7 +231,7 @@ def factored_series(draw):
 @settings(max_examples=100, deadline=None)
 def test_truncated_reconstruct_matches_the_full_product(case):
     nf, cut = case
-    assert reconstruct(nf if cut is None else replace(nf, prec=cut)) == untruncated(nf, prec=cut)
+    assert reconstruct(nf if cut is None else nf._replace(prec=cut)) == untruncated(nf, prec=cut)
 
 
 # -- many nilpotent negative terms ----------------------------------------------

@@ -150,7 +150,7 @@ def series(draw):
              else Coeff.const(ring, draw(fractions.filter(bool)))}
     for e in draw(st.sets(st.integers(v + 1, v + 14), max_size=6)):
         terms[e] = coeff(draw, ring)
-    if ring.order and draw(st.booleans()):
+    if ring.has_nilpotents and draw(st.booleans()):
         for e in draw(st.sets(st.integers(v - 3, v - 1), min_size=1, max_size=3)):
             terms[e] = coeff(draw, ring, 0)
     prec = draw(st.one_of(st.none(), st.integers(v, v + 16)))
@@ -165,14 +165,14 @@ def products(draw):
     window = draw(st.integers(1, 12))
     unit = coeff(draw, ring, draw(fractions.filter(bool))) if ring != POLY else Coeff.one(ring)
     neg = {}
-    if ring.order:
+    if ring.has_nilpotents:
         for i in draw(st.sets(st.integers(1, 3), max_size=2)):
             c = coeff(draw, ring, 0)
             if not c.is_zero():
                 neg[i] = c
     pos = {}
     for j in draw(st.sets(st.integers(1, window + 2), max_size=4)):
-        c = coeff(draw, ring, 0 if ring.order and draw(st.booleans()) else None)
+        c = coeff(draw, ring, 0 if ring.has_nilpotents and draw(st.booleans()) else None)
         if not c.is_zero():
             pos[j] = c
     nf = NormalForm(ring, unit, draw(st.integers(-3, 3)), tuple(sorted(neg.items())),
