@@ -17,6 +17,7 @@ from . import components, covers, curves, forms, normal_form
 from .errors import LoopSpaceError, ParseError
 from .parser import (
     format_normal_form,
+    normal_form_fields,
     parse_curve_spec,
     parse_fraction_list,
     parse_place,
@@ -129,14 +130,8 @@ def _class_json(c: curves.ComponentClass) -> dict:
 def _cmd_factor(args):
     s = parse_series(args.series, _ring_flag(args.ring))
     nf = normal_form.factor(s, prec=args.prec)
-    data = {
-        "unit": format_coeff(nf.unit),
-        "order": nf.order,
-        "neg": {str(i): format_coeff(c) for i, c in nf.neg},
-        "pos": {str(j): format_coeff(c) for j, c in nf.pos},
-        "prec": nf.prec,
-    }
-    return [format_normal_form(nf)], data
+    data = normal_form_fields(nf)
+    return [format_normal_form(nf, data)], data
 
 
 def _cmd_classify(args):
@@ -185,8 +180,8 @@ def _cmd_residue(args):
     num, den = parse_xy_rational(args.form)
     form = forms.MeromorphicForm.build(curve, num, den)
     loop = _build_loop(args, curve, _ring_flag(args.ring), args.branch)
-    r = forms.residue_along(form, loop)
-    return [f"residue={format_coeff(r)}"], {"residue": format_coeff(r)}
+    r = format_coeff(forms.residue_along(form, loop))
+    return [f"residue={r}"], {"residue": r}
 
 
 def _cmd_thirdkind(args):

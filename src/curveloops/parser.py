@@ -331,16 +331,26 @@ def format_series(s: LaurentSeries) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _format_coeff_map(entries) -> str:
-    inner = ", ".join(f"{k}: {format_coeff(c)}" for k, c in entries)
-    return "{" + inner + "}"
+def normal_form_fields(nf: NormalForm) -> dict:
+    """The fields of a normal form, each coefficient formatted once: the
+    ``--json`` object of ``factor``, whose text ``format_normal_form``
+    reads from the same strings."""
+    return {
+        "unit": format_coeff(nf.unit),
+        "order": nf.order,
+        "neg": {str(i): format_coeff(c) for i, c in nf.neg},
+        "pos": {str(j): format_coeff(c) for j, c in nf.pos},
+        "prec": nf.prec,
+    }
 
 
-def format_normal_form(nf: NormalForm) -> str:
-    out = (
-        f"unit={format_coeff(nf.unit)} order={nf.order} "
-        f"neg={_format_coeff_map(nf.neg)} pos={_format_coeff_map(nf.pos)}"
-    )
+def format_normal_form(nf: NormalForm, fields: dict | None = None) -> str:
+    """The one-line text of a normal form; ``fields``, when given, is
+    ``normal_form_fields(nf)``, so that no coefficient is formatted
+    twice."""
+    f = normal_form_fields(nf) if fields is None else fields
+    neg, pos = [", ".join([f"{k}: {c}" for k, c in f[part].items()]) for part in ("neg", "pos")]
+    out = f"unit={f['unit']} order={nf.order} neg={{{neg}}} pos={{{pos}}}"
     if nf.prec is not None:
         out += f" (mod O(z^{nf.prec}))"
     return out

@@ -17,13 +17,22 @@ by convention (see ``Value``); mixing rings raises ``RingMismatch``.
 ``Coeff.data`` reads a value back as ``fractions.Fraction`` entries.
 
 Products of Q[t] and Q[eps]/eps^k coefficients, and of whole series (laid
-out and cut by ``series._mul_rows``), go through one kernel, ``packed_mul``,
-by Kronecker substitution (Schoenhage 1982; Harvey, JSC 2009).  The kernel
-works on integers only.  An operand is a 2-D array of ints: rows indexed
+out and cut by ``series._mul_rows``), go through one entry point,
+``packed_mul``; only a scaling by a constant, such as a product of two
+rational coefficients, is plain integer products.  It works on integers
+only.  An operand is a 2-D array of ints: rows indexed
 by i (the z-exponent of a series, or 0 for a single coefficient), each row
 the payload of one coefficient, so the entry (i, j) is the coefficient of
 z^i y^j, with y standing for 1 (Q), eps or t.  The caller multiplies the
 two denominators, so the kernel never sees a fraction.
+
+A product takes the cheaper of two paths.  The direct convolution costs
+one entry product per pair of stored entries, sum(len a_i) sum(len b_k);
+the kernel costs ``KERNEL_CALL``, its fixed work measured in entry
+products, plus one per packed slot.  Short operands, such as two
+coefficients over Q[eps]/eps^k or a few rows over Q, convolve directly;
+the rest take the kernel, by Kronecker substitution (Schoenhage 1982;
+Harvey, JSC 2009).
 
 Only product rows below the requested count are read, so entry (i, j)
 goes to slot i*S + j of one Python int, where the stride S is the longest
@@ -202,9 +211,22 @@ def payload_at(c: Sequence[int], p: int, q: int, d: int) -> int:
 
 
 def _reduced(ring: Ring, den: int, payload: Sequence[int]) -> "Coeff":
-    """The ``Coeff`` payload / den (den != 0) in canonical form."""
-    den, rows = canonical(ring, den, ((0, payload),))
-    return Coeff(ring, den, rows[0][1]) if rows else Coeff.zero(ring)
+    """The ``Coeff`` payload / den (den != 0) in canonical form: the rules
+    of ``canonical`` for one payload, without building rows, as every
+    coefficient operation ends here."""
+    if ring.order is None:
+        n = len(payload)
+        while n and not payload[n - 1]:
+            n -= 1
+        payload = payload[:n]
+    if not any(payload):
+        return Coeff.zero(ring)
+    g = gcd(den, *payload) if den != 1 else 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        return Coeff(ring, den // g, tuple([v // g for v in payload]))
+    return Coeff(ring, den, tuple(payload))
 
 
 #: the array typecode of each signed slot width of at most 8 bytes
@@ -249,21 +271,31 @@ def _stride(a, la: list, b, lb: list, count: int) -> int:
     return stride
 
 
+#: A kernel call's fixed work, counted in the entry products of a direct
+#: convolution: one call on two single entries (8.8 us) costs as much as
+#: about 40 products of a small direct convolution (0.2 us each), CPython
+#: 3.11, one core of a 2-vCPU VM.  A packed slot costs about one product.
+KERNEL_CALL = 40
+
+
 def packed_mul(
     a: Sequence[tuple[int, Sequence[int]]],
     b: Sequence[tuple[int, Sequence[int]]],
     count: int,
     cut: int | None = None,
 ) -> list[list[int]]:
-    """Product of two 2-D arrays of integers by one integer multiply.
+    """Product of two 2-D arrays of integers: rows 0 .. count-1.
 
     ``a`` and ``b`` list (i, row) pairs, i >= 0 ascending, each row a
     non-empty sequence of ints: row[j] is the coefficient of z^i y^j.
     Returns rows 0 .. count-1 of the product, each holding the
     coefficients of y^j for j < ra + rb - 1, ra and rb the longest rows of
-    ``a`` and ``b``, and j < ``cut`` unless it is None.  Passing the same
-    object as ``a`` and ``b`` packs it once and squares.  See the module
-    docstring for the layout.
+    ``a`` and ``b``, and j < ``cut`` unless it is None.  When the direct
+    convolution makes fewer entry products than the kernel's work,
+    ``KERNEL_CALL`` plus one per packed slot, it runs; otherwise one
+    integer multiply does (``_kronecker``), and passing the same object as
+    ``a`` and ``b`` packs it once and squares.  See the module docstring
+    for the layout.
     """
     square = a is b
     la = [len(row) for _, row in a]
@@ -275,13 +307,51 @@ def packed_mul(
     a0, b0 = a[0][0], b[0][0]
     if a0 + b0 >= count:
         return [[0] * keep for _ in range(count)]
+    # the kernel packs at least count slots, so this product is direct
+    # whatever the kernel's stride
+    if sum(la) * sum(lb) < KERNEL_CALL + count:
+        return _convolve(a, b, count, keep)
     stride = _stride(a, la, b, lb, count)
     a = [r for r in a if r[0] < count - b0]
     b = a if square else [r for r in b if r[0] < count - a0]
-    bits_a = _bits(a)
-    bits_b = bits_a if square else _bits(b)
+    if sum(la[:len(a)]) * sum(lb[:len(b)]) < KERNEL_CALL + count * stride:
+        return _convolve(a, b, count, keep)
     # a product entry sums at most this many nonzero products
     terms = min(len(a), len(b)) * min(ra, rb)
+    return _kronecker(a, b, count, keep, stride, terms)
+
+
+def _convolve(a, b, count: int, keep: int) -> list[list[int]]:
+    """``packed_mul`` by the double loop over the rows, skipping zero
+    entries of ``a``."""
+    out = [[0] * keep for _ in range(count)]
+    if keep == 1:
+        for i, x in a:
+            u = x[0]
+            for k, y in b:
+                if i + k >= count:
+                    break
+                out[i + k][0] += u * y[0]
+        return out
+    for i, x in a:
+        x = [(j, u) for j, u in enumerate(x[:keep]) if u]
+        for k, y in b:
+            if i + k >= count:
+                break
+            row = out[i + k]
+            for j, u in x:
+                for l, w in enumerate(y[:keep - j], j):
+                    row[l] += u * w
+    return out
+
+
+def _kronecker(a, b, count: int, keep: int, stride: int, terms: int) -> list[list[int]]:
+    """``packed_mul`` by one big-integer multiply, a squaring when ``a``
+    is ``b``, on rows laid out ``stride`` slots apart, each slot wide
+    enough for a sum of ``terms`` products."""
+    square = a is b
+    bits_a = _bits(a)
+    bits_b = bits_a if square else _bits(b)
     width = (bits_a + bits_b + terms.bit_length() + 8) // 8  # + a sign bit
     if width <= 8:
         width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8: an array slot
@@ -413,6 +483,16 @@ class Coeff(Value):
         else:
             payload = packed_mul([(0, a)], [(0, b)], 1, self.ring.order)[0]
         return _reduced(self.ring, self.den * other.den, payload)
+
+    def __pow__(self, n: int) -> "Coeff":
+        """The n-th power, n >= 0, by repeated squaring."""
+        result, base = Coeff.one(self.ring), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            base = base * base if n else base
+        return result
 
     def scale(self, q: Scalar) -> "Coeff":
         q = q if isinstance(q, (int, Fraction)) else Fraction(q)

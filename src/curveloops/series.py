@@ -22,6 +22,22 @@ which picks the layout and applies the cut; loops (powers, the Newton
 steps of ``invert`` and ``sqrt``, and those of ``curves`` and
 ``normal_form``) keep bare rows and build a ``LaurentSeries`` on return.
 
+An inverse, a square root and an exact power f^n with a unit lowest
+coefficient come from one of two routines, on t stored rows of f cut at
+the window rel.  ``_miller`` runs J. C. P. Miller's recurrence for f^alpha
+(alpha = -1, 1/2 or n), one payload product per row and per coefficient:
+(t - 1) rel products, each len(f_i) times the width of a coefficient of
+the result (1 over Q, k over Q[eps]/eps^k, growing with the exponent over
+Q[t]).  The other routine is what the recurrence replaces: Newton's
+steps for ``invert`` (two kernel products per doubling) and for ``sqrt``
+(four), and ``_power``'s squarings.  ``_miller_cost``, ``_newton_cost``
+and ``_kernel_cost`` count them in entry products, a kernel product at
+its fixed work plus its slots, and the cheaper one runs: short series over Q and
+Q[eps]/eps^k take the recurrence, and long or Q[t]-heavy ones, where it
+costs t rel ~ rel^2 products, keep Newton's steps and the squarings.  A
+one-row f needs neither (its power squares by scaling its row).
+Negative powers invert first, and an inexact f is raised by squarings.
+
 A series is built the way a ``Coeff`` is: ``LaurentSeries(ring, den, rows,
 prec)`` takes canonical fields as they are, ``from_rows`` makes integer
 rows canonical, and ``build`` reads ``Coeff`` values or rationals keyed by
@@ -46,6 +62,7 @@ from .errors import (
     ZeroSeries,
 )
 from .ring import (
+    KERNEL_CALL,
     POLY,
     RATIONAL,
     Coeff,
@@ -57,7 +74,19 @@ from .ring import (
     packed_mul,
     payload_at,
     payload_is_nilpotent,
+    payload_is_unit,
 )
+
+#: The costs of ``_miller`` and of Newton's steps beyond their entry
+#: products and kernel calls, measured on the inputs of the benchmark's
+#: workloads (CPython 3.11, a 2-vCPU VM).  A product of payload lists in
+#: ``_miller_rows`` spends about 1 us looping over them, 4 entry products.
+#: A Newton step costs 2.5 to 3 times the kernel products it makes, which
+#: are all that ``_power``'s squarings cost; 2 is the factor that also
+#: keeps on Newton the Q[t] lifts whose rows widen fastest, where Newton
+#: is the faster.
+MILLER_TERM = 4
+NEWTON_WORK = 2
 
 #: Default number of terms kept past the lowest exponent when an exact
 #: input forces an infinite expansion (inverses, square roots, ...).
@@ -163,7 +192,19 @@ def _times(ring: Ring, a: tuple, b: tuple) -> tuple:
 
 
 def _power(ring: Ring, base: tuple, n: int) -> tuple:
-    """The bare series ``base`` to the power n >= 1, by repeated squaring."""
+    """The bare series ``base`` to the power n >= 1: by Miller's formula
+    when ``base`` is exact with a unit lead and that is the cheaper way,
+    else by repeated squaring."""
+    den, rows, prec = base
+    # a one-row base squares by scaling its row, which Miller's formula
+    # cannot beat
+    if n > 1 and prec is None and len(rows) > 1:
+        v, lead = rows[0]
+        f, deg = (den, [(e - v, p) for e, p in rows]), rows[-1][0] - v
+        if payload_is_unit(ring, lead) and _miller_cost(ring, f[1], n * deg + 1) < _kernel_cost(
+                ring, f[1], _power_counts(deg, n)):
+            den, rows = _miller(ring, f, Fraction(n), Coeff(ring, den, lead) ** n, n * deg + 1)
+            return den, [(e + n * v, p) for e, p in rows], None
     result = None
     while n:
         if n & 1:
@@ -171,6 +212,100 @@ def _power(ring: Ring, base: tuple, n: int) -> tuple:
         n >>= 1
         base = _times(ring, base, base) if n else base
     return result
+
+
+def _miller(ring: Ring, f: tuple, alpha: Fraction, y0: Coeff, count: int) -> tuple:
+    """The canonical (den, rows) of y = f^alpha below z^count.
+
+    f = (den, rows) has its lowest row at z^0, a unit f_0, and ``y0`` is
+    the chosen f_0^alpha.  With g = f / f_0, so that g_0 = 1, y = y0
+    g^alpha, and g y' = alpha g' y gives each coefficient from the earlier
+    ones (J. C. P. Miller's formula; Knuth, TAOCP vol. 2, 4.7):
+
+        n y_n = sum_{i=1..n} ((alpha + 1) i - n) g_i y_(n-i),
+
+    one payload product per stored row of g, so t stored rows cost
+    (t - 1) products per coefficient.  The exponents of f share the step
+    gcd(e), and so do those of y.  Each y_n is kept reduced over its own
+    denominator, so that no denominator grows faster than the
+    coefficients, and the rows are made canonical once, at the end.
+    """
+    den, rows = f
+    if len(rows) == 1:
+        return y0.den, ((0, y0.payload),)
+    step = gcd(*[e for e, _ in rows])
+    inverse = Coeff(ring, den, rows[0][1]).invert()
+    g = _mul_rows(ring, [(e // step, p) for e, p in rows[1:]], [(0, inverse.payload)], None)
+    steps = (alpha, den * inverse.den, -(-count // step))
+    if len(y0.payload) == 1 and all([len(p) == 1 for _, p in g]):
+        ys = _miller_ints([(e, p[0]) for e, p in g], y0.payload[0], y0.den, *steps)
+    else:
+        ys = _miller_rows(ring, g, y0.payload, y0.den, *steps)
+    kept = [(m * step, y) for m, y in enumerate(ys) if y is not None]
+    den = lcm(*[d for _, (_, d) in kept])
+    return canonical(ring, den, [(e, [v * (den // d) for v in p]) for e, (p, d) in kept])
+
+
+def _miller_rows(ring: Ring, g, y: tuple, d: int, alpha: Fraction, g_den: int, top: int) -> list:
+    """The steps of ``_miller``: [(payload, den) of y_n or None when y_n =
+    0, for n < top], from y_0 = y / d and g = rows / g_den without g_0.
+    A payload product is a few entries, so each term is convolved into
+    the sum in place."""
+    p, q, cut = alpha.numerator, alpha.denominator, ring.order
+    g = [(e, [(j, u) for j, u in enumerate(gi) if u]) for e, gi in g]
+    ys = [(y, d)] + [None] * (top - 1)
+    for n in range(1, top):
+        total, lcd = [], 1
+        for e, gi in g:
+            if e > n:
+                break
+            y, w = ys[n - e], (p + q) * e - q * n
+            if y is None or not w:
+                continue
+            v, d = y
+            if d != lcd:  # bring the sum and the term over lcm(lcd, d)
+                common = lcm(lcd, d)
+                w *= common // d
+                total = [x * (common // lcd) for x in total]
+                lcd = common
+            size = gi[-1][0] + len(v) if cut is None else cut
+            if len(total) < size:
+                total += [0] * (size - len(total))
+            for j, u in gi:
+                u *= w
+                for i, x in enumerate(v[:size - j], j):
+                    total[i] += u * x
+        if any(total):
+            d = q * n * g_den * lcd
+            h = gcd(d, *total)
+            ys[n] = ([x // h for x in total], d // h)
+    return ys
+
+
+def _miller_ints(g, y: int, d: int, alpha: Fraction, g_den: int, top: int) -> list:
+    """``_miller_rows`` for payloads of one entry, as over Q, on plain ints:
+    the same steps without a list per term."""
+    p, q = alpha.numerator, alpha.denominator
+    ys = [((y,), d)] + [None] * (top - 1)
+    for n in range(1, top):
+        total, lcd = 0, 1
+        for e, gi in g:
+            if e > n:
+                break
+            y = ys[n - e]
+            if y is not None:
+                (v,), d = y
+                if d != lcd:
+                    common = lcm(lcd, d)
+                    total *= common // lcd
+                    v *= common // d
+                    lcd = common
+                total += ((p + q) * e - q * n) * gi * v
+        if total:
+            d = q * n * g_den * lcd
+            h = gcd(d, total)
+            ys[n] = ((total // h,), d // h)
+    return ys
 
 
 class LaurentSeries(Value):
@@ -367,34 +502,32 @@ class LaurentSeries(Value):
         ``prec`` sets rel when the input is exact but the inverse is an
         infinite series (default ``DEFAULT_PREC``; it must be at least 1).
 
-        With g = z^-v f cut at z^rel, Newton iteration (Brent & Kung 1978)
-        starts from b = lead^-1 and doubles the number of correct terms
-        each step, b <- b - b (g b - 1) mod z^k with k capped at rel, so
-        the cost is that of a few whole-series products.
+        With g = z^-v f cut at z^rel, 1/g mod z^rel comes from Miller's
+        formula (``_miller``) when that costs less than Newton's steps
+        (``_newton_inverse``), as ``_miller_cost`` and ``_newton_cost``
+        weigh them.
         """
         window = resolve_prec(prec)
         if not self.rows:
             if self.exact:
                 raise NotInvertible("zero series")
             raise InsufficientPrecision("all stored coefficients vanish")
-        v, payload = self.rows[0]
+        ring, (v, payload) = self.ring, self.rows[0]
         lead = self._coeff(payload)
         if not lead.is_unit():
             raise NotInvertible(
                 "lowest coefficient is not a unit; use the normal form"
             )
-        if self.exact and len(self.rows) == 1:
-            return LaurentSeries.monomial(self.ring, -v, lead.invert())
         rel = (self.prec - v) if self.prec is not None else window
-        g = (self.den, [(e - v, p) for e, p in self.rows])
+        g = (self.den, [(e - v, p) for e, p in self.rows if e - v < rel])
         inverse = lead.invert()
-        b = (inverse.den, ((0, inverse.payload),))
-        k = 1
-        while k < rel:
-            k = min(2 * k, rel)
-            b = _inverse_step(self.ring, b, g, k)
-        den, rows = b
-        return LaurentSeries(self.ring, den, tuple([(e - v, p) for e, p in rows]), rel - v)
+        if len(g[1]) == 1 or _miller_cost(ring, g[1], rel) < _newton_cost(ring, g[1], rel, 2):
+            den, rows = _miller(ring, g, Fraction(-1), inverse, rel)
+        else:
+            den, rows = _newton_inverse(ring, g, inverse, rel)
+        # the inverse of an exact monomial is exact
+        prec = None if self.exact and len(self.rows) == 1 else rel - v
+        return LaurentSeries(ring, den, tuple([(e - v, p) for e, p in rows]), prec)
 
     def derivative(self) -> "LaurentSeries":
         rows = [(e - 1, tuple([v * e for v in p])) for e, p in self.rows if e]
@@ -445,6 +578,89 @@ class LaurentSeries(Value):
         return LaurentSeries.from_rows(RATIONAL, self.den * q**d, rows, self.prec)
 
 
+def _widths(ring: Ring, rows) -> tuple:
+    """(w, r): over ``ring``, a coefficient of a power of f = rows / den,
+    with its lowest row at z^0 a unit, holds at most w + r n entries at
+    z^n.  That is k over Q[eps]/eps^k and 1 over Q; over Q[t], where r is
+    the largest t-degree of a row of f per unit of its exponent, it is a
+    bound on the t-degree plus 1."""
+    if ring.order is not None:
+        return ring.order, 0
+    return 1, max([(len(p) - 1) / e for e, p in rows[1:]], default=0)
+
+
+def _miller_cost(ring: Ring, rows, count: int) -> float:
+    """The work of ``_miller`` on f = rows / den, two rows or more, below
+    z^count, in entry products.  Row f_e meets each y_n with e <= n <
+    count on the exponents' lattice, and their product makes len(f_e)
+    times the width of y_(n-e) entry products, k (k + 1) / 2 over
+    Q[eps]/eps^k, where it is cut at eps^k.  Unless every payload is one
+    entry (``_miller_ints``), each product also costs ``MILLER_TERM`` for
+    the loop over its entries."""
+    step = gcd(*[e for e, _ in rows])
+    w, r = _widths(ring, rows)
+    loop = MILLER_TERM if any([len(p) > 1 for _, p in rows]) else 0
+    if ring.order is not None:
+        w = (w + 1) / 2
+    top, cost = -(-count // step), 0
+    for e, p in rows[1:]:
+        m = top - e // step  # the y_n that meet f_e
+        if m <= 0:
+            break
+        cost += len(p) * (m * w + r * step * m * (m - 1) / 2) + loop * m
+    return cost
+
+
+def _kernel_cost(ring: Ring, rows, counts) -> float:
+    """The work of kernel products of powers of f = rows / den, one for
+    each count in ``counts``, the rows kept, in entry products.  A call
+    costs ``KERNEL_CALL`` plus one per packed slot: count times the
+    widest product row, 2 w - 1 + r (count - 1) by ``_widths``."""
+    w, r = _widths(ring, rows)
+    return sum([KERNEL_CALL + count * (2 * w - 1 + r * (count - 1)) for count in counts])
+
+
+def _newton_cost(ring: Ring, rows, count: int, products: int) -> float:
+    """The work of the Newton steps towards z^count, each making
+    ``products`` kernel products; a step to z^k keeps k rows.  Each
+    product is priced ``NEWTON_WORK`` times, as the step also adds, trims
+    and reduces the rows it packs."""
+    counts, k = [], 1
+    while k < count:
+        k = min(2 * k, count)
+        counts += [k] * products
+    return NEWTON_WORK * _kernel_cost(ring, rows, counts)
+
+
+def _power_counts(deg: int, n: int) -> list:
+    """The counts of the products ``_power`` makes for f^n, f of degree
+    ``deg`` from its lowest row: f^a f^b keeps (a + b) deg + 1 rows."""
+    counts, result, m = [], 0, 1
+    while n:
+        if n & 1:
+            if result:
+                counts.append((result + m) * deg + 1)
+            result += m
+        n >>= 1
+        if n:
+            counts.append(2 * m * deg + 1)
+            m *= 2
+    return counts
+
+
+def _newton_inverse(ring: Ring, g: tuple, inverse: Coeff, rel: int) -> tuple:
+    """The canonical (den, rows) of 1/g mod z^rel for g = (den, rows) of
+    valuation 0 and ``inverse`` = 1/g_0, by Newton's iteration (Brent &
+    Kung 1978): b <- b - b (g b - 1) mod z^k doubles the number of correct
+    terms each step, k capped at rel."""
+    b = (inverse.den, ((0, inverse.payload),))
+    k = 1
+    while k < rel:
+        k = min(2 * k, rel)
+        b = _inverse_step(ring, b, g, k)
+    return b
+
+
 def _inverse_step(ring: Ring, b: tuple, g: tuple, k: int) -> tuple:
     """One Newton step for 1/g on (den, rows) pairs: b - b (g b - 1) mod
     z^k, its content divided out so that the denominator does not square
@@ -476,14 +692,13 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
     N, and ``prec`` for an exact one (default ``DEFAULT_PREC``; it must be
     at least 1).
 
-    With g = z^-v f cut at z^rel, a coupled Newton iteration keeps s, the
-    square root, and r, its inverse.  It starts from s = +-sqrt(lead) and
-    r = 1/s; each round doubles k, capped at rel, sets
-    s <- s + r (g - s^2) / 2 mod z^k, and then takes one Newton inverse
-    step for r against the new s (skipped in the last round).
+    With g = z^-v f cut at z^rel, the root mod z^rel comes from Miller's
+    formula (``_miller``) when that costs less than the coupled Newton
+    iteration (``_newton_sqrt``), as ``_miller_cost`` and
+    ``_newton_cost`` weigh them.
 
     The leading coefficient must be a rational square: over Q[eps]/eps^k
-    its eps part must vanish.  Newton's steps need only 2 lead to be a
+    its eps part must vanish.  Both routines need only 2 lead to be a
     unit, so they run over every supported ring.
 
     The candidate c (the computed terms, read as a Laurent polynomial)
@@ -514,19 +729,11 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         raise NoRationalSquareRoot(f"{lead_q} is not a nonzero rational square")
     rel = (f.prec - v) if f.prec is not None else window
     sign = root if branch >= 0 else -root
-    ring, g = f.ring, [(e - v, p) for e, p in f.rows]
-    start, inverse = Coeff.const(ring, sign), Coeff.const(ring, 1 / sign)
-    s = (start.den, ((0, start.payload),))
-    r = (inverse.den, ((0, inverse.payload),))
-    k = 1
-    while k < rel:
-        k = min(2 * k, rel)
-        (ds, rs), (dr, rr) = s, r
-        dd, d = _add_rows(f.den, g, -ds * ds, _mul_rows(ring, rs, rs, k), k)
-        den, rows = _add_rows(ds, rs, 2 * dd * dr, _mul_rows(ring, d, rr, k), None)
-        s = canonical(ring, den, rows)
-        if k < rel:
-            r = _inverse_step(ring, r, s, k)
+    ring, g = f.ring, (f.den, [(e - v, p) for e, p in f.rows if e - v < rel])
+    if len(g[1]) == 1 or _miller_cost(ring, g[1], rel) < _newton_cost(ring, g[1], rel, 4):
+        s = _miller(ring, g, Fraction(1, 2), Coeff.const(ring, sign), rel)
+    else:
+        s = _newton_sqrt(ring, g, sign, rel)
     den, rows = s[0], tuple([(e + v // 2, p) for e, p in s[1]])
     result = LaurentSeries(ring, den, rows, v // 2 + rel)
     if not f.exact:
@@ -538,3 +745,26 @@ def sqrt(f: LaurentSeries, prec: int | None = None, branch: int = 1) -> LaurentS
         if f.rows[-1][0] < v + rel:
             return candidate
     return candidate if candidate * candidate == f else result
+
+
+def _newton_sqrt(ring: Ring, g: tuple, sign: Fraction, rel: int) -> tuple:
+    """The canonical (den, rows) of the square root of g = (den, rows) mod
+    z^rel whose constant term is ``sign``, g_0 = sign^2, by a coupled
+    Newton iteration: it keeps s, the root, and r, its inverse, from
+    s = sign and r = 1/s.  Each round doubles k, capped at rel, sets
+    s <- s + r (g - s^2) / 2 mod z^k, and then takes one Newton inverse
+    step for r against the new s (skipped in the last round)."""
+    g_den, g = g
+    start, inverse = Coeff.const(ring, sign), Coeff.const(ring, 1 / sign)
+    s = (start.den, ((0, start.payload),))
+    r = (inverse.den, ((0, inverse.payload),))
+    k = 1
+    while k < rel:
+        k = min(2 * k, rel)
+        (ds, rs), (dr, rr) = s, r
+        dd, d = _add_rows(g_den, g, -ds * ds, _mul_rows(ring, rs, rs, k), k)
+        den, rows = _add_rows(ds, rs, 2 * dd * dr, _mul_rows(ring, d, rr, k), None)
+        s = canonical(ring, den, rows)
+        if k < rel:
+            r = _inverse_step(ring, r, s, k)
+    return s

@@ -5,10 +5,12 @@ canonical integer-row form of series, and the degree certificate of
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curveloops import ring
 from curveloops.errors import LoopSpaceError
 from curveloops.normal_form import factor
 from curveloops.ring import (
@@ -183,6 +185,51 @@ def test_packed_mul_slot_holds_the_largest_sum(k, n):
         a = [(0, [x] * n)]
         b = [(0, [sign * x] * n)]
         assert kernel(a, b, 1) == schoolbook(a, b, 1)
+
+
+@given(data=st.data())
+@settings(max_examples=100)
+def test_kronecker_path_matches_schoolbook(data):
+    """The big-integer path alone: with no fixed cost for a kernel call,
+    the direct convolution never wins, so even the smallest products,
+    and the slot widths of ``test_packed_mul_slot_holds_the_largest_sum``,
+    go through one integer multiply."""
+    a, b = data.draw(arrays()), data.draw(arrays())
+    count = data.draw(counts(a, b))
+    cut = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+    with mock.patch.object(ring, "KERNEL_CALL", -(10**9)):
+        assert kernel(a, b, count, cut) == schoolbook(a, b, count, cut)
+        assert kernel(a, a, count, cut) == schoolbook(a, a, count, cut)
+        x = Fraction(2 ** data.draw(st.integers(1, 64)) - 1)
+        n = data.draw(st.integers(1, 15))
+        row = [(0, [x] * n)]
+        assert kernel(row, row, 1) == schoolbook(row, row, 1)
+
+
+def _boundary(width):
+    """The largest n for which n rows of ``width`` entries times the same
+    shape, all rows kept, convolve directly: (n width)^2 entry products
+    against the kernel's ``KERNEL_CALL`` plus (2n - 1)(2 width - 1) slots."""
+    n = 1
+    while ((n + 1) * width) ** 2 < ring.KERNEL_CALL + (2 * n + 1) * (2 * width - 1):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 5))
+@given(data=st.data())
+@settings(max_examples=20)
+def test_direct_rule_boundary(width, data):
+    """Operands just inside the direct-convolution rule run no big-integer
+    multiply, and those just outside run one; both match the schoolbook."""
+    n = _boundary(width)
+    for rows, kernel_calls in ((n, 0), (n + 1, 1)):
+        a, b = [[(i, data.draw(st.lists(entries, min_size=width, max_size=width)))
+                 for i in range(rows)] for _ in range(2)]
+        cut = width if width > 1 else None
+        with mock.patch.object(ring, "_kronecker", wraps=ring._kronecker) as spy:
+            assert kernel(a, b, 2 * rows - 1, cut) == schoolbook(a, b, 2 * rows - 1, cut)
+        assert spy.call_count == kernel_calls
 
 
 @given(data=st.data())
